@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race race-hammer mird-smoke dist-smoke bench-smoke fuzz-smoke bench bench-json bench-topk bench-dyn bench-shard bench-dist bench-check ci
+.PHONY: all vet build test race race-hammer mird-smoke perfbench-test bench-smoke fuzz-smoke bench bench-json bench-topk bench-dyn bench-shard bench-check ci
 
 all: ci
 
@@ -34,13 +34,11 @@ race-hammer:
 mird-smoke:
 	$(GO) test -race -count=1 -run 'MirdSmoke' ./cmd/mird
 
-# Multi-process executor smoke under the race detector: the test binary
-# re-execs itself as shard workers (so the worker is always built from
-# this tree), covering the small shard matrix (2 and 4 shards), an
-# injected worker crash retried to a byte-identical region, and the
-# spawn-failure fallback to in-process execution.
-dist-smoke:
-	$(GO) test -race -count=1 -run 'DistSmoke' ./internal/dist
+# The benchmark lives in its own module (perfbench/go.mod), which the
+# root `./...` patterns stop at. Vet and test it here so a library or
+# mird change that breaks the benchmark's build fails CI.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of the sequential-vs-parallel benchmark pair plus the
 # numeric-kernel suite, as a smoke test that the instrumented paths still
@@ -123,16 +121,8 @@ bench-dyn:
 bench-shard:
 	$(GO) run ./cmd/mirbench -json BENCH_AA.ci.json -baseline BENCH_AA.json
 
-# Executor axis of the AA matrix on its own: in-process vs multi-process
-# twins at Shards ∈ {2,4}, gated fresh-vs-fresh by checkDistExecutor —
-# algorithmic stats byte-identical across executors, every shard
-# dispatched to a worker process, pool wall time within a bounded factor
-# of the in-process twin, and per-worker peak RSS under the ceiling.
-bench-dist:
-	$(GO) run ./cmd/mirbench -json-dist BENCH_DIST.json
-
-bench-check: bench-shard bench-dist
+bench-check: bench-shard
 	$(GO) run ./cmd/mirbench -json-topk BENCH_TOPK.ci.json -baseline-topk BENCH_TOPK.json
 	$(GO) run ./cmd/mirbench -json-dyn BENCH_DYN.ci.json -baseline-dyn BENCH_DYN.json
 
-ci: vet build race race-hammer mird-smoke dist-smoke bench-smoke fuzz-smoke
+ci: vet build race race-hammer mird-smoke perfbench-test bench-smoke fuzz-smoke

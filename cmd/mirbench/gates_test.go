@@ -326,109 +326,3 @@ func TestShardScalingGate(t *testing.T) {
 		t.Fatalf("wall gate enforced on a 1-CPU host: %v", err)
 	}
 }
-
-// TestDistExecutorGate drives checkDistExecutor through its outcomes:
-// a procpool row whose algorithmic stats match its in-process twin (with
-// transport counters allowed to differ) passes; a counter divergence, an
-// undispatched shard, a missing twin, a blown wall factor, and a blown
-// worker-RSS ceiling each fail naming the row and both numbers; a report
-// with no executor rows (legacy) is skipped, not failed.
-func TestDistExecutorGate(t *testing.T) {
-	distTier := func() []benchResult {
-		in := benchResult{Dataset: "IND", Users: jsonShardU, Workers: jsonShardWorkers,
-			Shards: distShards, WallSeconds: 4.0}
-		in.Stats.Cells = 110_000
-		in.Stats.Pivots = 5000
-		pp := in
-		pp.Executor = "procpool"
-		pp.WallSeconds = 6.0
-		pp.WorkerMaxRSSBytes = 100 << 20
-		// Transport counters are set only on the executor row and must not
-		// trip the identity comparison.
-		pp.Stats.DispatchedShards = distShards
-		pp.Stats.ShippedBytes = 1 << 20
-		return []benchResult{in, pp}
-	}
-	mutate := func(f func(rows []benchResult)) benchReport {
-		rows := distTier()
-		f(rows)
-		return benchReport{Results: rows}
-	}
-
-	if err := checkDistExecutor(mutate(func([]benchResult) {})); err != nil {
-		t.Fatalf("healthy report rejected: %v", err)
-	}
-	if err := checkDistExecutor(benchReport{Results: distTier()[:1]}); err != nil {
-		t.Fatalf("legacy report without executor rows rejected: %v", err)
-	}
-
-	cases := []struct {
-		name      string
-		report    benchReport
-		wantInMsg []string
-	}{
-		{
-			name: "stats divergence",
-			report: mutate(func(rows []benchResult) {
-				rows[1].Stats.Pivots = 5001
-			}),
-			wantInMsg: []string{"executor=procpool", "algorithmic stats diverge from in-process twin"},
-		},
-		{
-			name: "missing twin",
-			report: mutate(func(rows []benchResult) {
-				rows[0].Users = 0 // drops the in-process row out of the twin map
-			}),
-			wantInMsg: []string{"executor=procpool", "no in-process twin row in report"},
-		},
-		{
-			name: "fallback ran shards in-process",
-			report: mutate(func(rows []benchResult) {
-				rows[1].Stats.DispatchedShards = distShards - 1
-				rows[1].Stats.FallbackInProcess = 1
-			}),
-			wantInMsg: []string{"multi-process path did not run all shards", "dispatched 3 of 4, fallback 1"},
-		},
-		{
-			name: "no shipped bytes",
-			report: mutate(func(rows []benchResult) {
-				rows[1].Stats.ShippedBytes = 0
-			}),
-			wantInMsg: []string{"no bytes shipped recorded"},
-		},
-		{
-			name: "wall factor blown",
-			report: mutate(func(rows []benchResult) {
-				rows[1].WallSeconds = 16.0 // 4.00x vs limit 3.0x
-			}),
-			wantInMsg: []string{"wall 16.000s is 4.00x the in-process twin's 4.000s", "limit 3.0x"},
-		},
-		{
-			name: "worker RSS over ceiling",
-			report: mutate(func(rows []benchResult) {
-				rows[1].WorkerMaxRSSBytes = distWorkerRSSCeilingBytes + 1
-			}),
-			wantInMsg: []string{"worker peak RSS", "exceeds ceiling"},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := checkDistExecutor(tc.report)
-			if err == nil {
-				t.Fatal("degraded report accepted")
-			}
-			for _, want := range tc.wantInMsg {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("failure message missing %q:\n%v", want, err)
-				}
-			}
-		})
-	}
-
-	// RSS 0 means the platform has no rusage reporting; the ceiling is
-	// skipped rather than failed.
-	noRSS := mutate(func(rows []benchResult) { rows[1].WorkerMaxRSSBytes = 0 })
-	if err := checkDistExecutor(noRSS); err != nil {
-		t.Fatalf("rusage-less platform rejected: %v", err)
-	}
-}

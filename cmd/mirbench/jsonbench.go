@@ -73,18 +73,7 @@ type benchResult struct {
 	// for a fixed shard count, and the source of the balance gate.
 	Shards     int   `json:"shards"`
 	ShardCells []int `json:"shard_cells,omitempty"`
-	// Executor names the shard executor that built the row: "" (legacy
-	// rows included) is the in-process build, "procpool" the
-	// multi-process worker pool (internal/dist). Executor rows are twins
-	// of an in-process row with the same shape; checkDistExecutor gates
-	// their stats identical and their wall/RSS bounded, and the scaling
-	// and baseline gates skip them. WorkerMaxRSSBytes is the largest
-	// peak RSS any worker process reached during the measured builds —
-	// the per-process memory bound the GC-isolation argument rests on
-	// (0 on platforms without rusage reporting).
-	Executor          string `json:"executor,omitempty"`
-	WorkerMaxRSSBytes int64  `json:"worker_max_rss_bytes,omitempty"`
-	Runs              int    `json:"runs"`
+	Runs       int   `json:"runs"`
 
 	// WallSeconds is the fastest of Runs measured executions (the standard
 	// benchmarking convention: minimum wall time is the least noisy
@@ -174,7 +163,7 @@ func runJSONBench(cfg config, path, baselinePath string) error {
 				Shards:        1,
 				Runs:          jsonBenchRuns,
 			}
-			if _, err := measureAA(inst, m, opts, &res); err != nil {
+			if err := measureAA(inst, m, opts, &res); err != nil {
 				return fmt.Errorf("%s pruning=%v warm=%v scalar=%v workers=%d: %w",
 					dataset, cell.pruning, cell.warm, cell.scalar, cell.workers, err)
 			}
@@ -189,7 +178,6 @@ func runJSONBench(cfg config, path, baselinePath string) error {
 	// shard gates compare against (fresh vs fresh, so machine speed
 	// divides out of the wall ratio).
 	shardInst := cfg.instance("IND", "CL", jsonBenchP, jsonShardU, jsonBenchD, jsonBenchK, 101)
-	var distTwin *core.Region
 	for _, shards := range jsonShardMatrix {
 		opts := core.Options{Workers: jsonShardWorkers, Shards: shards}
 		res := benchResult{
@@ -205,22 +193,13 @@ func runJSONBench(cfg config, path, baselinePath string) error {
 			Shards:    shards,
 			Runs:      jsonBenchRuns,
 		}
-		reg, err := measureAA(shardInst, jsonShardM, opts, &res)
-		if err != nil {
+		if err := measureAA(shardInst, jsonShardM, opts, &res); err != nil {
 			return fmt.Errorf("shard tier shards=%d: %w", shards, err)
-		}
-		if shards == distShards {
-			distTwin = reg
 		}
 		report.Results = append(report.Results, res)
 		fmt.Printf("IND   |U|=%d shards=%d workers=%d  %8.3fs  %9d bytes/op  cells=%d prescreened=%d\n",
 			jsonShardU, shards, jsonShardWorkers, res.WallSeconds, res.BytesPerOp,
 			res.Stats.Cells, res.Stats.PrescreenedOut)
-	}
-	// Executor axis: the multi-process twin of the Shards=distShards row,
-	// with a cell-for-cell differential against the in-process build.
-	if err := measureDistRows(&report, shardInst, []int{distShards}, map[int]*core.Region{distShards: distTwin}); err != nil {
-		return err
 	}
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -239,9 +218,6 @@ func runJSONBench(cfg config, path, baselinePath string) error {
 		return err
 	}
 	if err := checkKernelIdentity(report); err != nil {
-		return err
-	}
-	if err := checkDistExecutor(report); err != nil {
 		return err
 	}
 	if baselinePath != "" {
@@ -280,10 +256,7 @@ const (
 func checkShardScaling(report benchReport, numCPU int) error {
 	rows := make(map[int]benchResult)
 	for _, r := range report.Results {
-		// Executor rows are shape-twins of the in-process shard rows and
-		// would silently overwrite them in this map; they have their own
-		// gates (checkDistExecutor).
-		if r.Users == jsonShardU && r.Workers == jsonShardWorkers && r.Shards >= 1 && r.Executor == "" {
+		if r.Users == jsonShardU && r.Workers == jsonShardWorkers && r.Shards >= 1 {
 			rows[r.Shards] = r
 		}
 	}
@@ -416,20 +389,11 @@ func checkKernelIdentity(report benchReport) error {
 // measureAA runs one warm-up execution (populating res.Stats, res.Sched,
 // and res.ShardCells — all deterministic across runs) followed by
 // jsonBenchRuns measured executions, recording best-of wall time and
-// mean MemStats deltas. The warm-up region is returned so callers can
-// run differential gates against another executor's build of the same
-// configuration.
-func measureAA(inst *core.Instance, m int, opts core.Options, res *benchResult) (*core.Region, error) {
-	return measureBuild(func() (*core.Region, error) { return core.AA(inst, m, opts) }, res)
-}
-
-// measureBuild is measureAA generalized over the region builder — the
-// executor axis measures dist.ProcPool builds through the same warm-up
-// plus best-of-runs protocol so its rows are comparable cell for cell.
-func measureBuild(build func() (*core.Region, error), res *benchResult) (*core.Region, error) {
-	reg, err := build()
+// mean MemStats deltas.
+func measureAA(inst *core.Instance, m int, opts core.Options, res *benchResult) error {
+	reg, err := core.AA(inst, m, opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.Stats = reg.Stats
 	res.Stats.StealCount, res.Stats.MaxFrontier = 0, 0
@@ -443,8 +407,8 @@ func measureBuild(build func() (*core.Region, error), res *benchResult) (*core.R
 		runtime.GC()
 		runtime.ReadMemStats(&ms0)
 		start := time.Now()
-		if _, err := build(); err != nil {
-			return nil, err
+		if _, err := core.AA(inst, m, opts); err != nil {
+			return err
 		}
 		wall := time.Since(start).Seconds()
 		runtime.ReadMemStats(&ms1)
@@ -457,7 +421,7 @@ func measureBuild(build func() (*core.Region, error), res *benchResult) (*core.R
 	res.WallSeconds = best
 	res.AllocsPerOp = allocs / jsonBenchRuns
 	res.BytesPerOp = bytes / jsonBenchRuns
-	return reg, nil
+	return nil
 }
 
 func schedSteals(s *core.SchedStats) int {

@@ -26,8 +26,6 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
-
-	"mir/internal/dist"
 )
 
 // experiment is one reproducible figure or table.
@@ -44,11 +42,6 @@ func register(id, title string, run func(cfg config)) {
 }
 
 func main() {
-	// The multi-process executor re-execs this binary as a shard worker;
-	// when the marker env var is set, this process IS the worker and must
-	// not parse flags or run experiments.
-	dist.MaybeWorker()
-
 	fig := flag.String("fig", "", "experiment to run (see -list), or 'all'")
 	list := flag.Bool("list", false, "list experiments and the parameter grid")
 	scale := flag.Float64("scale", 0.01, "fraction of the paper's cardinalities to use")
@@ -61,7 +54,6 @@ func main() {
 	baselineTopk := flag.String("baseline-topk", "", "with -json-topk: committed BENCH_TOPK.json to gate against (fails if scanned-products/user regress >10%)")
 	jsonDynPath := flag.String("json-dyn", "", "run the dynamic-maintenance events/sec matrix and write a machine-readable report to this path")
 	baselineDyn := flag.String("baseline-dyn", "", "with -json-dyn: committed BENCH_DYN.json to gate against (fails if touched-leaves/event or events/sec regress >10%, or the routed/sweep locality ratio drops below 5x)")
-	jsonDistPath := flag.String("json-dist", "", "run the multi-process executor tier (in-process vs procpool twins) and write a machine-readable report to this path; fails on any identity, wall-factor, or worker-RSS gate")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile at exit to this path")
 	flag.Parse()
@@ -101,7 +93,7 @@ func main() {
 		printList(cfg)
 		return
 	}
-	if *jsonPath != "" || *jsonTopkPath != "" || *jsonDynPath != "" || *jsonDistPath != "" {
+	if *jsonPath != "" || *jsonTopkPath != "" || *jsonDynPath != "" {
 		if *jsonPath != "" {
 			if err := runJSONBench(cfg, *jsonPath, *baseline); err != nil {
 				fatal(err)
@@ -114,11 +106,6 @@ func main() {
 		}
 		if *jsonDynPath != "" {
 			if err := runDynBench(cfg, *jsonDynPath, *baselineDyn); err != nil {
-				fatal(err)
-			}
-		}
-		if *jsonDistPath != "" {
-			if err := runDistBench(cfg, *jsonDistPath); err != nil {
 				fatal(err)
 			}
 		}

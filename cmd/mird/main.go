@@ -18,8 +18,9 @@
 //	GET    /watch?product=3      SSE alerts on region/membership changes
 //
 // A full ingest queue answers 429 with Retry-After — backpressure, not
-// buffering without bound. On SIGINT/SIGTERM the daemon stops accepting
-// events, applies everything already accepted, and exits.
+// buffering without bound — and an oversized arrival body answers 413.
+// On SIGINT/SIGTERM the daemon stops accepting events, applies
+// everything already accepted, and exits.
 //
 // The dataset comes from CSV files (-products/-users) or generation
 // (-gen-products/-gen-users with -n/-u/-d/-k/-seed), exactly as in
@@ -38,15 +39,16 @@ import (
 	"time"
 
 	"mir"
-	"mir/internal/dist"
+)
+
+// Connection timeouts bound slow clients. There is deliberately no
+// WriteTimeout: /watch is a long-lived SSE stream.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
-	// The procpool executor re-execs this binary as a shard worker; when
-	// the marker env var is set, this process IS the worker and must not
-	// parse flags, load data, or listen.
-	dist.MaybeWorker()
-
 	log.SetFlags(0)
 	log.SetPrefix("mird: ")
 
@@ -63,8 +65,6 @@ func main() {
 	m := flag.Int("m", 0, "coverage threshold (default |U|/2)")
 	queueCap := flag.Int("queue", 1024, "ingest queue capacity (backpressure bound)")
 	workers := flag.Int("workers", 0, "maintenance worker count (0 = all cores)")
-	executor := flag.String("executor", "inproc", "full-build executor to verify at startup: inproc, or procpool (multi-process shard workers; the daemon refuses to serve unless the pool's region is byte-identical to the in-process build)")
-	shards := flag.Int("shards", 4, "space-sharding factor for the procpool executor probe (>= 2)")
 	flag.Parse()
 
 	products, users := loadData(*productsFile, *usersFile, *genProducts, *genUsers, *n, *u, *d, *k, *seed)
@@ -83,20 +83,14 @@ func main() {
 	log.Printf("initial region: |P|=%d |U|=%d d=%d m=%d, %d cells in %v",
 		len(products), len(users), len(products[0]), *m, mo.Region().NumCells(), time.Since(t0))
 
-	ex, err := runExecProbe(*executor, *shards, *workers, products, users, *m)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if ex.Name != "inproc" {
-		log.Printf("executor %s verified: shards=%d cells=%d in %.3fs, dispatched=%d respawned=%d shipped=%dB",
-			ex.Name, ex.Shards, ex.ProbeCells, ex.ProbeSeconds,
-			ex.Info.DispatchedShards, ex.Info.RespawnedWorkers, ex.Info.ShippedBytes)
-	}
-
 	srv := newServer(mo, products, *queueCap)
-	srv.exec = ex
 	srv.start()
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	go func() {
 		log.Printf("listening on http://%s", *addr)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"math"
@@ -69,11 +70,6 @@ type server struct {
 	cur  atomic.Pointer[epochSnap]
 	hub  *watchHub
 	done chan struct{} // closed when the writer has drained and exited
-
-	// exec records the startup executor probe (see runExecProbe); its
-	// counters are immutable once the daemon serves, so /stats reads them
-	// without synchronization.
-	exec *execStatus
 }
 
 func newServer(mo *mir.Monitor, products [][]float64, queueCap int) *server {
@@ -85,7 +81,6 @@ func newServer(mo *mir.Monitor, products [][]float64, queueCap int) *server {
 		present:    make(map[int]bool),
 		hub:        newWatchHub(),
 		done:       make(chan struct{}),
-		exec:       &execStatus{Name: "inproc"},
 	}
 	for h := 0; h < mo.NumUsers(); h++ {
 		s.present[h] = true
@@ -173,10 +168,18 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
+// writeJSON marshals v before it commits the status, so a value JSON
+// cannot encode (a non-finite float) becomes a 500 with an error body,
+// never a 200 with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -213,9 +216,18 @@ type arriveRequest struct {
 	K       int       `json:"k"`
 }
 
+// maxArriveBody bounds a POST /users body. An arrival is a weight vector
+// and a k, a few hundred bytes at any realistic dimensionality.
+const maxArriveBody = 64 << 10
+
 func (s *server) handleArrive(w http.ResponseWriter, r *http.Request) {
 	var req arriveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxArriveBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad body: %v", err)
 		return
 	}
@@ -324,7 +336,7 @@ func parsePointParam(r *http.Request, dim int) ([]float64, error) {
 	p := make([]float64, dim)
 	for i, part := range parts {
 		x, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
 			return nil, fmt.Errorf("bad coordinate %q", part)
 		}
 		p[i] = x
@@ -339,11 +351,17 @@ func (s *server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// The gap is +Inf when no user boundary exists (an empty population);
+	// JSON has no infinity, so that gap is served as null.
+	var gap *float64
+	if g := es.snap.MinBoundaryGap(p); !math.IsInf(g, 1) {
+		gap = &g
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"epoch":       es.epoch,
 		"coverage":    es.snap.Coverage(p),
 		"inRegion":    es.snap.Region().Contains(p),
-		"boundaryGap": es.snap.MinBoundaryGap(p),
+		"boundaryGap": gap,
 	})
 }
 
@@ -368,15 +386,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"routedLeaves":    st.RoutedLeaves,
 		"skippedSubtrees": st.SkippedSubtrees,
 		"touchedFrontier": st.TouchedFrontier,
-		// Startup executor probe (immutable after startup): which full-build
-		// executor was verified and, for procpool, the transport counters of
-		// that verification build. Maintenance itself always runs in-process.
-		"executor":          s.exec.Name,
-		"executorShards":    s.exec.Shards,
-		"dispatchedShards":  s.exec.Info.DispatchedShards,
-		"respawnedWorkers":  s.exec.Info.RespawnedWorkers,
-		"fallbackInProcess": s.exec.Info.FallbackInProcess,
-		"shippedBytes":      s.exec.Info.ShippedBytes,
 	})
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,15 +15,7 @@ import (
 	"time"
 
 	"mir"
-	"mir/internal/dist"
 )
-
-// TestMain lets the executor-probe smoke re-exec this test binary as a
-// shard worker, exactly as the mird binary itself embeds the worker.
-func TestMain(m *testing.M) {
-	dist.MaybeWorker()
-	os.Exit(m.Run())
-}
 
 func testMonitor(t *testing.T, nP, nU, d, k, m int) (*mir.Monitor, [][]float64) {
 	t.Helper()
@@ -206,15 +197,13 @@ func TestMirdSmokeReadsDuringWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st struct {
-		QueueLen      int     `json:"queueLen"`
-		QueueCap      *int    `json:"queueCap"`
-		LastDrainSize *int    `json:"lastDrainSize"`
-		Applied       uint64  `json:"applied"`
-		CountDesyncs  int64   `json:"countDesyncs"`
-		NumUsers      int     `json:"numUsers"`
-		RoutedLeaves  *int    `json:"routedLeaves"`
-		Executor      *string `json:"executor"`
-		Dispatched    *int    `json:"dispatchedShards"`
+		QueueLen      int    `json:"queueLen"`
+		QueueCap      *int   `json:"queueCap"`
+		LastDrainSize *int   `json:"lastDrainSize"`
+		Applied       uint64 `json:"applied"`
+		CountDesyncs  int64  `json:"countDesyncs"`
+		NumUsers      int    `json:"numUsers"`
+		RoutedLeaves  *int   `json:"routedLeaves"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
@@ -236,15 +225,6 @@ func TestMirdSmokeReadsDuringWrites(t *testing.T) {
 	}
 	if st.RoutedLeaves == nil || *st.RoutedLeaves <= 0 {
 		t.Fatalf("stats routedLeaves = %v, want positive after %d applied events", st.RoutedLeaves, st.Applied)
-	}
-	// Executor observability: a server without a procpool probe reports the
-	// in-process executor and zero dispatched shards (pointers distinguish a
-	// missing field from the zero value).
-	if st.Executor == nil || *st.Executor != "inproc" {
-		t.Fatalf("stats executor = %v, want inproc", st.Executor)
-	}
-	if st.Dispatched == nil || *st.Dispatched != 0 {
-		t.Fatalf("stats dispatchedShards = %v, want 0 without a procpool probe", st.Dispatched)
 	}
 }
 
@@ -306,7 +286,8 @@ func TestMirdSmokeCoalescedEqualsSequential(t *testing.T) {
 }
 
 // TestMirdSmokeValidationAndBackpressure pins the ingest status codes:
-// 400 on malformed arrivals, 404 on unknown or already-queued departures,
+// 400 on malformed arrivals and on non-finite /coverage points, 413 on an
+// oversized arrival body, 404 on unknown or already-queued departures,
 // 429 + Retry-After when the queue is full (writer deliberately not
 // started), and 503 after shutdown.
 func TestMirdSmokeValidationAndBackpressure(t *testing.T) {
@@ -325,8 +306,29 @@ func TestMirdSmokeValidationAndBackpressure(t *testing.T) {
 	if status, _, _ := postArrival(client, ts.URL, []float64{0.3, 0.3, 0.4}, 101); status != http.StatusBadRequest {
 		t.Fatalf("k>|P| arrival: status %d", status)
 	}
+	oversized := `{"weights":[0.3,0.3,0.4],"k":3,"pad":"` + strings.Repeat("x", maxArriveBody) + `"}`
+	resp, err := client.Post(ts.URL+"/users", "application/json", strings.NewReader(oversized))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized arrival: status %d, want 413", resp.StatusCode)
+	}
 	if status, _ := deleteUser(client, ts.URL, 999); status != http.StatusNotFound {
 		t.Fatalf("unknown departure: status %d", status)
+	}
+	// JSON has no NaN or infinity: a non-finite point is a bad request,
+	// not a 200 whose body failed to encode.
+	for _, point := range []string{"NaN,NaN,NaN", "Inf,0,0", "0.5,-Inf,0.5"} {
+		resp, err := client.Get(ts.URL + "/coverage?point=" + point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("coverage at %s: status %d, want 400", point, resp.StatusCode)
+		}
 	}
 
 	// Fill the queue: a queued departure makes its handle immediately
@@ -343,7 +345,7 @@ func TestMirdSmokeValidationAndBackpressure(t *testing.T) {
 
 	// Queue (cap 2) is now full: backpressure, with a Retry-After hint.
 	body, _ := json.Marshal(map[string]any{"weights": []float64{0.3, 0.3, 0.4}, "k": 3})
-	resp, err := client.Post(ts.URL+"/users", "application/json", bytes.NewReader(body))
+	resp, err = client.Post(ts.URL+"/users", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +379,8 @@ func TestMirdSmokeValidationAndBackpressure(t *testing.T) {
 
 // TestMirdSmokeWatch subscribes an SSE client and verifies it receives a
 // change alert when departures reshape the region, carrying a watched
-// product's membership flip when one occurs.
+// product's membership flip when one occurs. Every user departs, so the
+// test ends by reading /coverage over an empty population.
 func TestMirdSmokeWatch(t *testing.T) {
 	mo, products := testMonitor(t, 150, 14, 3, 5, 7)
 	srv := newServer(mo, products, 64)
@@ -418,10 +421,11 @@ func TestMirdSmokeWatch(t *testing.T) {
 		t.Fatal("no hello event")
 	}
 
-	// Shrink the population hard: with m fixed at 7 and users leaving,
-	// the region must change shape (eventually emptying), firing alerts.
+	// Shrink the population to nothing: with m fixed at 7 and users
+	// leaving, the region must change shape (eventually emptying), firing
+	// alerts.
 	client := ts.Client()
-	for h := 0; h < 7; h++ {
+	for h := 0; h < 14; h++ {
 		for {
 			status, err := deleteUser(client, ts.URL, h)
 			if err != nil {
@@ -454,6 +458,24 @@ func TestMirdSmokeWatch(t *testing.T) {
 	}
 	cancel() // release the watch handler before stopping
 	srv.stop()
+
+	// With no users there is no boundary: the gap is +Inf, which JSON
+	// cannot carry, so it is served as null in a well-formed body.
+	cov, err := client.Get(ts.URL + "/coverage?point=0.5,0.5,0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cov.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(cov.Body).Decode(&out); err != nil {
+		t.Fatalf("coverage over an empty population: status %d, body does not decode: %v", cov.StatusCode, err)
+	}
+	if cov.StatusCode != http.StatusOK || out["coverage"] != 0.0 {
+		t.Fatalf("coverage over an empty population: status %d, body %v", cov.StatusCode, out)
+	}
+	if gap, ok := out["boundaryGap"]; !ok || gap != nil {
+		t.Fatalf("boundaryGap over an empty population = %v (present %v), want null", gap, ok)
+	}
 }
 
 // TestRetryAfterHint pins the drain-duration → Retry-After mapping:
@@ -513,77 +535,5 @@ func TestStatsLastDrainSeconds(t *testing.T) {
 	}
 	if size, _ := stats["lastDrainSize"].(float64); size != 1 {
 		t.Fatalf("lastDrainSize %v, want 1", stats["lastDrainSize"])
-	}
-}
-
-// TestMirdSmokeExecutorProbe runs the procpool startup probe end to end:
-// the pool re-execs this test binary as shard workers, the probe demands
-// byte-identity with the in-process build, and the resulting counters
-// surface through /stats. Flag validation rejects unknown executors and
-// undispatchable shard counts before any build starts.
-func TestMirdSmokeExecutorProbe(t *testing.T) {
-	mo, products := testMonitor(t, 200, 16, 3, 5, 6)
-	users := mir.SynthUsers(mir.Clustered, 16, 3, 5, 12) // same seed as testMonitor
-	ex, err := runExecProbe("procpool", 2, 2, products, users, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Name != "procpool" || ex.Shards != 2 {
-		t.Fatalf("probe status %+v, want procpool over 2 shards", ex)
-	}
-	if ex.Info.DispatchedShards != 2 || ex.Info.FallbackInProcess != 0 {
-		t.Fatalf("probe dispatched %d shards with %d fallbacks, want all 2 through workers",
-			ex.Info.DispatchedShards, ex.Info.FallbackInProcess)
-	}
-	if ex.Info.ShippedBytes <= 0 || ex.ProbeCells <= 0 {
-		t.Fatalf("probe shipped %d bytes for %d cells, want both positive",
-			ex.Info.ShippedBytes, ex.ProbeCells)
-	}
-
-	srv := newServer(mo, products, 8)
-	srv.exec = ex
-	srv.start()
-	defer srv.stop()
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Executor   *string `json:"executor"`
-		Shards     *int    `json:"executorShards"`
-		Dispatched *int    `json:"dispatchedShards"`
-		Respawned  *int    `json:"respawnedWorkers"`
-		Fallback   *int    `json:"fallbackInProcess"`
-		Shipped    *int64  `json:"shippedBytes"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Executor == nil || *st.Executor != "procpool" {
-		t.Fatalf("stats executor = %v, want procpool", st.Executor)
-	}
-	if st.Shards == nil || *st.Shards != 2 || st.Dispatched == nil || *st.Dispatched != 2 {
-		t.Fatalf("stats executorShards = %v dispatchedShards = %v, want 2 and 2", st.Shards, st.Dispatched)
-	}
-	if st.Respawned == nil || *st.Respawned != 0 || st.Fallback == nil || *st.Fallback != 0 {
-		t.Fatalf("stats respawnedWorkers = %v fallbackInProcess = %v, want 0 and 0", st.Respawned, st.Fallback)
-	}
-	if st.Shipped == nil || *st.Shipped <= 0 {
-		t.Fatalf("stats shippedBytes = %v, want positive", st.Shipped)
-	}
-
-	if _, err := runExecProbe("warp", 2, 1, products, users, 6); err == nil {
-		t.Fatal("unknown executor accepted")
-	}
-	if _, err := runExecProbe("procpool", 1, 1, products, users, 6); err == nil {
-		t.Fatal("undispatchable shard count accepted")
-	}
-	// inproc needs no probe: nothing built, nothing dispatched.
-	in, err := runExecProbe("inproc", 4, 1, products, users, 6)
-	if err != nil || in.Name != "inproc" || in.Info.DispatchedShards != 0 {
-		t.Fatalf("inproc probe = %+v, %v; want a bare inproc status", in, err)
 	}
 }

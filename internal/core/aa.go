@@ -42,19 +42,26 @@ func runAA(inst *Instance, m int, opts Options) (*aaRun, error) {
 		nU:   len(inst.Users),
 		opts: opts,
 		tr:   celltree.New(geom.NewBox(inst.Dim, 0, 1)),
-	}
-	// Charge the instance's all-top-k preprocessing effort to the run's
-	// stats so the counters travel with every Region; incremental
-	// maintenance adds its per-arrival search effort on top.
-	run.st.ScannedProducts = inst.Prep.ScannedProducts
-	run.st.LayerPrunes = inst.Prep.LayerPrunes
-	if inst.TopKIndex != nil {
-		run.st.IndexPatches = inst.TopKIndex.Patches()
-		run.st.IndexRebuilds = inst.TopKIndex.Rebuilds()
+		// Charge the instance's all-top-k preprocessing effort to the
+		// run's stats so the counters travel with every Region;
+		// incremental maintenance adds its per-arrival search effort on
+		// top.
+		st: inst.prepStats(),
 	}
 	run.seedRoot()
 	run.drain()
 	return run, nil
+}
+
+// prepStats returns Stats holding only the instance's all-top-k
+// preprocessing counters.
+func (inst *Instance) prepStats() Stats {
+	st := Stats{ScannedProducts: inst.Prep.ScannedProducts, LayerPrunes: inst.Prep.LayerPrunes}
+	if inst.TopKIndex != nil {
+		st.IndexPatches = inst.TopKIndex.Patches()
+		st.IndexRebuilds = inst.TopKIndex.Rebuilds()
+	}
+	return st
 }
 
 // runMode selects the loop's objective: computing the m-impact region, or

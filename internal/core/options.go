@@ -53,10 +53,6 @@ type Options struct {
 	// decomposition differs: shard boundaries are midplane cuts the
 	// unsharded arrangement never makes. See DESIGN.md §12.
 	Shards int
-	// DisableSharding forces the single-tree path regardless of Shards —
-	// the escape hatch (and ablation switch) when a caller sets Shards
-	// globally but one run needs the historical build.
-	DisableSharding bool
 	// GroupChoice picks the insertion group (Figure 17a).
 	GroupChoice GroupChoice
 	// DisableFastTest turns off the MBB filter-and-refine tests of
@@ -211,23 +207,6 @@ type Stats struct {
 	// deterministic high-water mark of the sequential heap.
 	StealCount  int
 	MaxFrontier int
-	// DispatchedShards, RespawnedWorkers, FallbackInProcess, and
-	// ShippedBytes profile the multi-process shard executor
-	// (internal/dist); all four are zero on in-process builds.
-	// DispatchedShards counts shard fragments computed in worker
-	// processes, RespawnedWorkers counts workers respawned after a crash
-	// or timeout, FallbackInProcess counts shards the pool computed
-	// in-process after exhausting retries (or because no worker could be
-	// spawned at all), and ShippedBytes totals the frame bytes written to
-	// workers for the build (the once-encoded instance counted per worker
-	// it was shipped to, plus every job frame). Like StealCount and
-	// MaxFrontier these are transport counters, not algorithmic ones:
-	// they are excluded from the executor byte-identity contract (the
-	// in-process twin of any multi-process build has all four zero).
-	DispatchedShards  int
-	RespawnedWorkers  int
-	FallbackInProcess int
-	ShippedBytes      int64
 }
 
 // addLP folds a batch of solver-effort deltas into the Stats' LP counters.

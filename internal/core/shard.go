@@ -1,15 +1,12 @@
 package core
 
 import (
-	"mir/internal/topk"
-
-	"fmt"
-
 	"sort"
 
 	"mir/internal/celltree"
 	"mir/internal/geom"
 	"mir/internal/par"
+	"mir/internal/topk"
 )
 
 // This file implements the space-sharded AA build: product space is
@@ -28,9 +25,9 @@ import (
 
 // effectiveShards resolves Options.Shards to the actual top-level shard
 // count: the largest power of two <= Shards (the decomposition is a
-// recursive bisection), or 1 when sharding is off or disabled.
+// recursive bisection), or 1 when sharding is off.
 func effectiveShards(opts Options) int {
-	if opts.DisableSharding || opts.Shards <= 1 {
+	if opts.Shards <= 1 {
 		return 1
 	}
 	n := 1
@@ -40,26 +37,15 @@ func effectiveShards(opts Options) int {
 	return n
 }
 
-// EffectiveShards is the exported seam form of effectiveShards: executors
-// outside core (internal/dist) must resolve Options.Shards exactly the
-// way the in-process build does, or the two would disagree about how many
-// fragments a build produces.
-func EffectiveShards(opts Options) int { return effectiveShards(opts) }
-
-// ShardBox is one top-level cell of the sharded decomposition. It is the
-// unit of distribution: a shard build is a pure function of (instance, m,
-// Options, ShardBox), so a box can be dispatched to another process — or
-// re-dispatched after a worker crash — and must produce the identical
-// fragment. Exported fields only; the box crosses the process boundary in
-// internal/dist's job frames.
-type ShardBox struct {
-	Lo, Hi geom.Vector
-	ID     int     // path-derived heap ID of the shard root (virtual splits)
-	Depth  int     // bisection depth of this box in the virtual split tree
-	Work   float64 // probe-estimated AA work inside the box
+// shardBox is one top-level cell of the sharded decomposition. A shard
+// build is a pure function of (instance, m, Options, shardBox).
+type shardBox struct {
+	lo, hi geom.Vector
+	id     int // path-derived heap ID of the shard root (virtual splits)
+	depth  int // bisection depth of this box in the virtual split tree
 }
 
-// PlanShards splits [0,1]^d into `shards` (a power of two) axis-aligned
+// planShards splits [0,1]^d into `shards` (a power of two) axis-aligned
 // boxes by greedy heaviest-first bisection over a pilot work map: every
 // cut bisects the box currently holding the most pilot work points, at
 // the median work-point coordinate along the cycling axis, so shards
@@ -73,10 +59,6 @@ type ShardBox struct {
 // fixed shard count regardless of how shard or frontier work is
 // scheduled.
 //
-// PlanShards depends only on the instance, m, and the shard count —
-// never on Workers, scheduling, or which executor runs the shards — so
-// every executor plans the identical decomposition.
-//
 // The work map is data-adaptive (pilotWorkPoints): mIR thresholds are
 // top-k scores, so the arrangement's cells concentrate in a thin shell
 // around the m-level surface of the in-count function near the top
@@ -87,9 +69,9 @@ type ShardBox struct {
 // cheap pilot AA over a deterministic user subsample serve as the work
 // estimate instead — the pilot spends its cells exactly where the full
 // build will. The pilot and every cut depend only on the instance, m,
-// and the shard count, never on scheduling, so the per-shard-count
-// determinism contract is untouched.
-func PlanShards(inst *Instance, m, shards int) []ShardBox {
+// and the shard count, never on Workers or scheduling, so the
+// per-shard-count determinism contract is untouched.
+func planShards(inst *Instance, m, shards int) []shardBox {
 	dim := inst.Dim
 	lo := make(geom.Vector, dim)
 	hi := make(geom.Vector, dim)
@@ -97,10 +79,10 @@ func PlanShards(inst *Instance, m, shards int) []ShardBox {
 		hi[j] = 1
 	}
 	type node struct {
-		box ShardBox
+		box shardBox
 		pts []geom.Vector
 	}
-	nodes := []node{{box: ShardBox{Lo: lo, Hi: hi}, pts: pilotWorkPoints(inst, m)}}
+	nodes := []node{{box: shardBox{lo: lo, hi: hi}, pts: pilotWorkPoints(inst, m)}}
 	for len(nodes) < shards {
 		// Heaviest box next; ties break to the lowest index so the greedy
 		// order — and with it the decomposition — is deterministic.
@@ -112,14 +94,14 @@ func PlanShards(inst *Instance, m, shards int) []ShardBox {
 		}
 		n := nodes[h]
 		b := n.box
-		axis := b.Depth % dim
-		mid := splitCoord(n.pts, b.Lo, b.Hi, axis)
-		lowHi := append(geom.Vector(nil), b.Hi...)
+		axis := b.depth % dim
+		mid := splitCoord(n.pts, b.lo, b.hi, axis)
+		lowHi := append(geom.Vector(nil), b.hi...)
 		lowHi[axis] = mid
-		highLo := append(geom.Vector(nil), b.Lo...)
+		highLo := append(geom.Vector(nil), b.lo...)
 		highLo[axis] = mid
-		low := node{box: ShardBox{Lo: b.Lo, Hi: lowHi, ID: 2*b.ID + 1, Depth: b.Depth + 1}}
-		high := node{box: ShardBox{Lo: highLo, Hi: b.Hi, ID: 2*b.ID + 2, Depth: b.Depth + 1}}
+		low := node{box: shardBox{lo: b.lo, hi: lowHi, id: 2*b.id + 1, depth: b.depth + 1}}
+		high := node{box: shardBox{lo: highLo, hi: b.hi, id: 2*b.id + 2, depth: b.depth + 1}}
 		for _, p := range n.pts {
 			if p[axis] < mid {
 				low.pts = append(low.pts, p)
@@ -131,10 +113,9 @@ func PlanShards(inst *Instance, m, shards int) []ShardBox {
 		// in bisection-path (in-order) order.
 		nodes = append(nodes[:h], append([]node{low, high}, nodes[h+1:]...)...)
 	}
-	boxes := make([]ShardBox, len(nodes))
+	boxes := make([]shardBox, len(nodes))
 	for i, n := range nodes {
 		boxes[i] = n.box
-		boxes[i].Work = float64(len(n.pts))
 	}
 	return boxes
 }
@@ -214,96 +195,57 @@ func pilotWorkPoints(inst *Instance, m int) []geom.Vector {
 	return pts
 }
 
-// aaSharded is the sharded counterpart of runAA + region: it builds the
-// shard fragments (concurrently when Workers allows — each run still
-// spins its own frontier for Workers > 1) and merges them in shard-ID
-// order. Only modeMIR ever reaches this path: max-coverage and min-cost
-// runs prune against run-global incumbents and stay single-tree, as do
-// maintained runs (NewMaintainer calls runAA). This is exactly what
-// internal/dist's in-process executor runs through core.AA; the
-// out-of-process pool replays the same three steps (PlanShards →
-// RunShardPrescreened per box → MergeShardFragments) with the middle
-// step in worker processes, which is why the two are byte-identical.
+// aaSharded is the sharded counterpart of runAA + region: it plans the
+// shard boxes, runs one independent AA per box (concurrently when
+// Workers allows — each run still spins its own frontier for
+// Workers > 1), and concatenates the shard regions in shard-ID order.
+// Only modeMIR ever reaches this path: max-coverage and min-cost runs
+// prune against run-global incumbents and stay single-tree, as do
+// maintained runs (NewMaintainer calls runAA).
+//
+// Every stat merge is a sum except MaxFrontier (maximum), so the merged
+// totals do not depend on shard completion order. The instance-wide
+// preprocessing effort is charged once to the merged region, never per
+// shard.
 func aaSharded(inst *Instance, m int, opts Options, shards int) (*Region, error) {
 	if err := inst.CheckM(m); err != nil {
 		return nil, err
 	}
-	boxes := PlanShards(inst, m, shards)
+	boxes := planShards(inst, m, shards)
 	frags := make([]*Region, shards)
 	par.For(shards, par.Resolve(opts.Workers), func(s int) {
-		frags[s] = RunShardPrescreened(inst, m, opts, boxes[s], PrescreenShard(inst, boxes[s]))
+		frags[s] = runShard(inst, m, opts, boxes[s])
 	})
-	if debugShards {
-		for s, b := range boxes {
-			fmt.Printf("  box %d id=%d depth=%d work=%.1f cells=%d lo=%.3v hi=%.3v\n",
-				s, b.ID, b.Depth, b.Work, frags[s].Stats.Cells, b.Lo, b.Hi)
-		}
+	merged := &Region{Dim: inst.Dim, M: m, Stats: inst.prepStats(), ShardCells: make([]int, shards)}
+	for s, reg := range frags {
+		merged.Cells = append(merged.Cells, reg.Cells...)
+		merged.MBBs = append(merged.MBBs, reg.MBBs...)
+		merged.ShardCells[s] = reg.Stats.Cells
+		merged.Stats.merge(reg.Stats)
+		merged.Sched = mergeSched(merged.Sched, reg.Sched)
 	}
-	return MergeShardFragments(inst, m, frags), nil
+	return merged, nil
 }
 
-// PrescreenShard classifies every user halfspace against the shard box
-// with the banded corner bounds (topk.HalfspaceBands): Covers/Excludes
-// for halfspaces whose boundary provably misses the box, Cuts for the
-// survivors that must be classified inside the shard's tree. The result
-// is a pure function of (instance, box) — the pool computes it parent-
-// side once per shard and ships it, so workers never rebuild the bands.
-func PrescreenShard(inst *Instance, b ShardBox) []geom.Relation {
+// runShard executes one fully independent AA over a shard box. Every
+// user halfspace is first classified against the box with the banded
+// corner bounds (topk.HalfspaceBands); only the Cuts survivors enter
+// the root's pending views, the rest are absorbed into its counts. The
+// shard's Stats leave out the preprocessing counters, which aaSharded
+// charges once.
+func runShard(inst *Instance, m int, opts Options, b shardBox) *Region {
 	rel := make([]geom.Relation, len(inst.Users))
-	inst.HalfspaceBands().Prescreen(b.Lo, b.Hi, rel)
-	return rel
-}
-
-// RunShardPrescreened executes one fully independent AA over a shard box
-// and returns its region fragment: the shard's cells, their MBBs, and a
-// per-shard Stats that deliberately excludes the instance-wide
-// preprocessing counters (MergeShardFragments charges those once). rel
-// must be PrescreenShard's classification for the same box; only the
-// Cuts survivors enter the root's pending views. The fragment is a pure
-// function of (instance, m, opts-modulo-Workers, box) — the property
-// every retry and every cross-process dispatch in internal/dist leans
-// on.
-func RunShardPrescreened(inst *Instance, m int, opts Options, b ShardBox, rel []geom.Relation) *Region {
+	inst.HalfspaceBands().Prescreen(b.lo, b.hi, rel)
 	run := &aaRun{
 		inst: inst,
 		m:    m,
 		nU:   len(inst.Users),
 		opts: opts,
-		tr:   celltree.NewRooted(geom.NewBoxCorners(b.Lo, b.Hi), b.ID, b.Depth),
+		tr:   celltree.NewRooted(geom.NewBoxCorners(b.lo, b.hi), b.id, b.depth),
 	}
 	run.seedRootPrescreened(rel)
 	run.drain()
 	return run.region()
-}
-
-// MergeShardFragments concatenates the shard fragments in shard-ID
-// (slice) order and merges their stats. Every stat merge is a sum except
-// MaxFrontier (maximum), so the totals are independent of shard
-// completion order; the instance-wide preprocessing effort is charged
-// once to the merged region, never per shard — which is also what makes
-// a worker process's private re-preprocessing invisible in the merged
-// stats.
-func MergeShardFragments(inst *Instance, m int, frags []*Region) *Region {
-	merged := &Region{Dim: inst.Dim, M: m}
-	var st Stats
-	st.ScannedProducts = inst.Prep.ScannedProducts
-	st.LayerPrunes = inst.Prep.LayerPrunes
-	if inst.TopKIndex != nil {
-		st.IndexPatches = inst.TopKIndex.Patches()
-		st.IndexRebuilds = inst.TopKIndex.Rebuilds()
-	}
-	var sched *SchedStats
-	merged.ShardCells = make([]int, 0, len(frags))
-	for _, reg := range frags {
-		merged.Cells = append(merged.Cells, reg.Cells...)
-		merged.MBBs = append(merged.MBBs, reg.MBBs...)
-		merged.ShardCells = append(merged.ShardCells, reg.Stats.Cells)
-		st.merge(reg.Stats)
-		sched = mergeSched(sched, reg.Sched)
-	}
-	merged.Stats = st
-	merged.Sched = sched
-	return merged
 }
 
 // merge folds a complete per-shard Stats into s: sums throughout except
@@ -342,10 +284,6 @@ func (s *Stats) merge(o Stats) {
 	if o.MaxFrontier > s.MaxFrontier {
 		s.MaxFrontier = o.MaxFrontier
 	}
-	s.DispatchedShards += o.DispatchedShards
-	s.RespawnedWorkers += o.RespawnedWorkers
-	s.FallbackInProcess += o.FallbackInProcess
-	s.ShippedBytes += o.ShippedBytes
 }
 
 // mergeSched folds one shard's scheduler profile into the merged
@@ -372,7 +310,3 @@ func mergeSched(dst, src *SchedStats) *SchedStats {
 	}
 	return dst
 }
-
-// debugShards, when set, prints each sharded build's decomposition with
-// estimated vs. actual work. Calibration aid only.
-var debugShards = false

@@ -25,12 +25,10 @@ func TestEffectiveShards(t *testing.T) {
 		{Options{Shards: 7}, 4},
 		{Options{Shards: 8}, 8},
 		{Options{Shards: 9}, 8},
-		{Options{Shards: 8, DisableSharding: true}, 1},
 	}
 	for _, tc := range cases {
 		if got := effectiveShards(tc.opts); got != tc.want {
-			t.Errorf("effectiveShards(Shards=%d, disable=%v) = %d, want %d",
-				tc.opts.Shards, tc.opts.DisableSharding, got, tc.want)
+			t.Errorf("effectiveShards(Shards=%d) = %d, want %d", tc.opts.Shards, got, tc.want)
 		}
 	}
 }
@@ -46,7 +44,7 @@ func TestShardBoxesPartition(t *testing.T) {
 		inst := randomInstance(t, rng, 300, 24, d, 5)
 		m := len(inst.Users) / 2
 		for _, shards := range []int{1, 2, 4, 8, 16} {
-			boxes := PlanShards(inst, m, shards)
+			boxes := planShards(inst, m, shards)
 			if len(boxes) != shards {
 				t.Fatalf("d=%d shards=%d: %d boxes", d, shards, len(boxes))
 			}
@@ -55,30 +53,30 @@ func TestShardBoxesPartition(t *testing.T) {
 			for s, b := range boxes {
 				v := 1.0
 				for j := 0; j < d; j++ {
-					if b.Lo[j] >= b.Hi[j] || b.Lo[j] < 0 || b.Hi[j] > 1 {
-						t.Fatalf("d=%d shards=%d box %d malformed: lo=%v hi=%v", d, shards, s, b.Lo, b.Hi)
+					if b.lo[j] >= b.hi[j] || b.lo[j] < 0 || b.hi[j] > 1 {
+						t.Fatalf("d=%d shards=%d box %d malformed: lo=%v hi=%v", d, shards, s, b.lo, b.hi)
 					}
-					v *= b.Hi[j] - b.Lo[j]
+					v *= b.hi[j] - b.lo[j]
 				}
 				vol += v
-				if ids[b.ID] {
-					t.Fatalf("d=%d shards=%d: duplicate shard root ID %d", d, shards, b.ID)
+				if ids[b.id] {
+					t.Fatalf("d=%d shards=%d: duplicate shard root ID %d", d, shards, b.id)
 				}
-				ids[b.ID] = true
+				ids[b.id] = true
 				// Heaviest-first bisection produces uneven depths, but a box
 				// never needs more than shards-1 cuts above it, and its ID
 				// must sit on the heap level of its own depth.
-				if shards > 1 && (b.Depth < 1 || b.Depth > shards-1) {
-					t.Fatalf("d=%d shards=%d box %d: depth %d out of range", d, shards, s, b.Depth)
+				if shards > 1 && (b.depth < 1 || b.depth > shards-1) {
+					t.Fatalf("d=%d shards=%d box %d: depth %d out of range", d, shards, s, b.depth)
 				}
-				if b.ID < (1<<b.Depth)-1 || b.ID > (1<<(b.Depth+1))-2 {
-					t.Fatalf("d=%d shards=%d box %d: ID %d outside heap level %d", d, shards, s, b.ID, b.Depth)
+				if b.id < (1<<b.depth)-1 || b.id > (1<<(b.depth+1))-2 {
+					t.Fatalf("d=%d shards=%d box %d: ID %d outside heap level %d", d, shards, s, b.id, b.depth)
 				}
 				// Interior disjointness against every earlier box.
 				for r := 0; r < s; r++ {
 					overlap := true
 					for j := 0; j < d; j++ {
-						if boxes[r].Hi[j] <= b.Lo[j] || b.Hi[j] <= boxes[r].Lo[j] {
+						if boxes[r].hi[j] <= b.lo[j] || b.hi[j] <= boxes[r].lo[j] {
 							overlap = false
 							break
 						}
@@ -95,19 +93,18 @@ func TestShardBoxesPartition(t *testing.T) {
 	}
 }
 
-// TestShardBoxIDsPrefixFree is the seam contract the multi-process wire
-// protocol depends on (internal/dist ships boxes by ID and merges
-// fragments in slice order): every shard root ID encodes the box's
-// bisection path, no path is a prefix of another (so no shard's subtree
-// of cell IDs can collide with another's), and the boxes enumerate in
-// bisection-path (in-order, i.e. lexicographic path) order.
+// TestShardBoxIDsPrefixFree pins the shard ID namespace: every shard
+// root ID encodes the box's bisection path, no path is a prefix of
+// another (so no shard's subtree of cell IDs can collide with
+// another's), and the boxes enumerate in bisection-path (in-order, i.e.
+// lexicographic path) order, the order shard regions concatenate in.
 func TestShardBoxIDsPrefixFree(t *testing.T) {
 	// Reconstruct the root→leaf bit path from a heap ID: child 2i+1 is
 	// the low ("0") side, 2i+2 the high ("1") side.
-	path := func(b ShardBox) string {
-		bits := make([]byte, b.Depth)
-		id := b.ID
-		for l := b.Depth - 1; l >= 0; l-- {
+	path := func(b shardBox) string {
+		bits := make([]byte, b.depth)
+		id := b.id
+		for l := b.depth - 1; l >= 0; l-- {
 			parent := (id - 1) / 2
 			if id == 2*parent+2 {
 				bits[l] = '1'
@@ -123,12 +120,12 @@ func TestShardBoxIDsPrefixFree(t *testing.T) {
 		inst := randomInstance(t, rng, 300, 24, d, 5)
 		m := len(inst.Users) / 2
 		for _, shards := range []int{2, 4, 8, 16} {
-			boxes := PlanShards(inst, m, shards)
+			boxes := planShards(inst, m, shards)
 			paths := make([]string, len(boxes))
 			for i, b := range boxes {
 				paths[i] = path(b)
-				if len(paths[i]) != b.Depth {
-					t.Fatalf("d=%d shards=%d box %d: path %q does not match depth %d", d, shards, i, paths[i], b.Depth)
+				if len(paths[i]) != b.depth {
+					t.Fatalf("d=%d shards=%d box %d: path %q does not match depth %d", d, shards, i, paths[i], b.depth)
 				}
 			}
 			for i := range paths {
@@ -196,10 +193,9 @@ func TestShardedWorkerByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardsOneIsSingleTree pins the escape hatches: Shards <= 1 and
-// DisableSharding both select the historical single-tree path, byte for
-// byte — region, stats (shard counters zero), and scheduler profile
-// presence included.
+// TestShardsOneIsSingleTree pins that Shards <= 1 selects the
+// historical single-tree path, byte for byte — region, stats (shard
+// counters zero), and scheduler profile presence included.
 func TestShardsOneIsSingleTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	inst := randomInstance(t, rng, 400, 32, 3, 6)
@@ -214,7 +210,6 @@ func TestShardsOneIsSingleTree(t *testing.T) {
 	for _, opts := range []Options{
 		{Workers: 1, Shards: 1},
 		{Workers: 1, Shards: 0},
-		{Workers: 1, Shards: 8, DisableSharding: true},
 	} {
 		got, err := AA(inst, m, opts)
 		if err != nil {
@@ -293,13 +288,13 @@ func TestShardedCounters(t *testing.T) {
 		if shards >= 4 && reg.Stats.PrescreenedOut == 0 {
 			t.Fatalf("shards=%d: prescreen absorbed nothing", shards)
 		}
-		boxes := PlanShards(inst, m, shards)
+		boxes := planShards(inst, m, shards)
 		for i, mbb := range reg.MBBs {
 			inSome := false
 			for _, b := range boxes {
 				ok := true
 				for j := 0; j < inst.Dim; j++ {
-					if mbb[0][j] < b.Lo[j]-1e-9 || mbb[1][j] > b.Hi[j]+1e-9 {
+					if mbb[0][j] < b.lo[j]-1e-9 || mbb[1][j] > b.hi[j]+1e-9 {
 						ok = false
 						break
 					}

@@ -84,10 +84,6 @@ type Options struct {
 	// set, but its cell decomposition differs (shard boundaries are
 	// midplane cuts the unsharded arrangement never makes).
 	Shards int
-	// DisableSharding forces the single-tree build regardless of Shards —
-	// the escape hatch when Shards is set globally but one run needs the
-	// historical path.
-	DisableSharding bool
 	// Strategy selects which pending user group is opened first when a
 	// cell remains undecided; see the Strategy constants.
 	Strategy Strategy
@@ -158,7 +154,6 @@ func (o *Options) toCore() core.Options {
 	return core.Options{
 		Workers:           o.Workers,
 		Shards:            o.Shards,
-		DisableSharding:   o.DisableSharding,
 		GroupChoice:       core.GroupChoice(o.Strategy),
 		DisableFastTest:   o.DisableFastTests,
 		DisableInnerGroup: o.DisableInnerGroupProcessing,

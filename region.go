@@ -163,17 +163,6 @@ type Stats struct {
 	// are scheduling-sensitive: they vary run to run at Workers > 1.
 	StealCount  int
 	MaxFrontier int
-	// DispatchedShards, RespawnedWorkers, FallbackInProcess, and
-	// ShippedBytes profile the multi-process shard executor (all zero on
-	// in-process builds): shard fragments computed in worker processes,
-	// workers respawned after a crash or timeout, shards that fell back
-	// to an in-process build after retries were exhausted, and total
-	// frame bytes shipped to workers. Transport counters: excluded from
-	// the executor byte-identity contract, like StealCount/MaxFrontier.
-	DispatchedShards  int
-	RespawnedWorkers  int
-	FallbackInProcess int
-	ShippedBytes      int64
 }
 
 // Stats returns the computation counters.
@@ -205,11 +194,6 @@ func (r *Region) Stats() Stats {
 		PrescreenedOut:   s.PrescreenedOut,
 		StealCount:       s.StealCount,
 		MaxFrontier:      s.MaxFrontier,
-
-		DispatchedShards:  s.DispatchedShards,
-		RespawnedWorkers:  s.RespawnedWorkers,
-		FallbackInProcess: s.FallbackInProcess,
-		ShippedBytes:      s.ShippedBytes,
 	}
 }
 
