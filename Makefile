@@ -112,12 +112,11 @@ bench-dyn:
 # speedup at Shards=8/Workers=8 vs Shards=1 is enforced directly (on
 # smaller hosts there is no parallelism to measure, so wall never gates —
 # the balance bound is the machine-independent form of the same
-# contract). The AA run also gates kernel identity fresh-vs-fresh: the
-# scalar-kernels ablation row's stats (pivots included) must equal its
-# kernels-on twin exactly. The TOPK run gates the kernel scan-wall sweep:
-# scoring the full product matrix through the blocked kernels must beat
-# the historical scalar loops by >=2x in aggregate (both sides measured
-# in the same process, so machine speed divides out).
+# contract). The TOPK run gates the kernel scan-wall sweep: scoring the
+# full product matrix through the blocked kernels must beat the
+# historical scalar loop they reproduce (kern.DotRowsScalar) by >=2x in
+# aggregate (both sides measured in the same process, so machine speed
+# divides out).
 bench-shard:
 	$(GO) run ./cmd/mirbench -json BENCH_AA.ci.json -baseline BENCH_AA.json
 

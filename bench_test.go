@@ -47,7 +47,8 @@ func runRegion(b *testing.B, an *Analyzer, m int) {
 	}
 	// Simplex pivots are the deterministic cost metric behind the wall
 	// clock: they expose the warm-start savings independent of machine
-	// noise (compare against a -test.benchtime run with DisableWarmStart).
+	// noise (BENCH_AA.json's warm/cold workers=1 rows, written by
+	// `mirbench -json`, hold the cold-start comparison).
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 }
 

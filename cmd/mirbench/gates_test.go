@@ -147,50 +147,6 @@ func TestBaselineComparators(t *testing.T) {
 	}
 }
 
-// TestKernelIdentityGate drives checkKernelIdentity through its three
-// outcomes: a scalar row whose Stats match its kernels-on twin passes, a
-// counter divergence fails naming both stat blocks, and an orphaned
-// scalar row fails asking for its twin. Wall times never influence the
-// verdict — only the counters gate.
-func TestKernelIdentityGate(t *testing.T) {
-	kernelRow := func(scalar bool, pivots int64, wall float64) benchResult {
-		r := benchResult{Dataset: "IND", Pruning: true, WarmStart: true,
-			ScalarKernels: scalar, Workers: 1, Shards: 1, WallSeconds: wall}
-		r.Stats.Pivots = pivots
-		return r
-	}
-
-	pass := benchReport{Results: []benchResult{kernelRow(false, 5000, 1.0), kernelRow(true, 5000, 2.0)}}
-	if err := checkKernelIdentity(pass); err != nil {
-		t.Fatalf("identical stats rejected: %v", err)
-	}
-	// A report with no scalar rows (legacy baselines) is not an error.
-	legacy := benchReport{Results: []benchResult{kernelRow(false, 5000, 1.0)}}
-	if err := checkKernelIdentity(legacy); err != nil {
-		t.Fatalf("legacy report rejected: %v", err)
-	}
-
-	diverged := benchReport{Results: []benchResult{kernelRow(false, 5000, 1.0), kernelRow(true, 5001, 2.0)}}
-	err := checkKernelIdentity(diverged)
-	if err == nil {
-		t.Fatal("diverging pivot counters accepted")
-	}
-	for _, want := range []string{"IND pruning=true warm=true workers=1", "stats diverge between kernels on and off"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("failure message missing %q:\n%v", want, err)
-		}
-	}
-
-	orphan := benchReport{Results: []benchResult{kernelRow(true, 5000, 2.0)}}
-	err = checkKernelIdentity(orphan)
-	if err == nil {
-		t.Fatal("orphaned scalar row accepted")
-	}
-	if !strings.Contains(err.Error(), "no kernels-on twin") {
-		t.Errorf("failure message missing twin complaint:\n%v", err)
-	}
-}
-
 // TestKernelScanSpeedupGate pins the >=2x kernel sweep floor: an
 // aggregate at the floor passes, below it fails stating both numbers,
 // and a report without sweep cells (legacy) is skipped, not failed.

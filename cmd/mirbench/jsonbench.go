@@ -58,15 +58,7 @@ type benchResult struct {
 	// WarmStart records whether LP solves re-entered parent-cell bases;
 	// the warm/cold workers=1 pair differs only in the pivot counters.
 	WarmStart bool `json:"warm_start"`
-	// ScalarKernels marks the kernel-ablation row: the run selected the
-	// historical scalar numeric loops (core.Options.DisableKernels)
-	// instead of the blocked kernels. Rows without the field (legacy
-	// reports included) ran the kernels. The scalar row's Stats must be
-	// byte-identical to its kernels-on twin — checkKernelIdentity
-	// enforces that on every fresh report — so only its wall time
-	// carries information.
-	ScalarKernels bool `json:"scalar_kernels,omitempty"`
-	Workers       int  `json:"workers"`
+	Workers   int  `json:"workers"`
 	// Shards is the space-sharding factor (1 = the single-tree build;
 	// legacy reports carry 0, which means the same). ShardCells is the
 	// per-shard arrangement-cell count in shard-ID order — deterministic
@@ -108,25 +100,20 @@ type benchReport struct {
 	Results []benchResult `json:"results"`
 }
 
-// jsonBenchMatrix is the (pruning, warm-start, kernels, workers) grid
-// measured per dataset. The {pruning, cold, 1} row is the warm-start
-// ablation reference: its Stats differ from {pruning, warm, 1} only in
-// the LP effort counters. The scalar row is the kernel ablation: the
-// same configuration on the historical scalar numeric loops, whose
-// Stats must match the default row exactly (checkKernelIdentity) while
-// its wall time shows what the blocked kernels buy.
+// jsonBenchMatrix is the (pruning, warm-start, workers) grid measured
+// per dataset. The {pruning, cold, 1} row is the warm-start ablation
+// reference: its Stats differ from {pruning, warm, 1} only in the LP
+// effort counters.
 var jsonBenchMatrix = []struct {
 	pruning bool
 	warm    bool
-	scalar  bool
 	workers int
 }{
-	{true, true, false, 1},
-	{true, false, false, 1},
-	{false, true, false, 1},
-	{true, true, true, 1},
-	{true, true, false, 2},
-	{true, true, false, 4},
+	{true, true, 1},
+	{true, false, 1},
+	{false, true, 1},
+	{true, true, 2},
+	{true, true, 4},
 }
 
 // runJSONBench measures the AA matrix and writes the report to path. When
@@ -147,29 +134,27 @@ func runJSONBench(cfg config, path, baselinePath string) error {
 				Workers:          cell.workers,
 				DisablePruning:   !cell.pruning,
 				DisableWarmStart: !cell.warm,
-				DisableKernels:   cell.scalar,
 			}
 			res := benchResult{
-				Dataset:       dataset,
-				Products:      jsonBenchP,
-				Users:         jsonBenchU,
-				Dim:           jsonBenchD,
-				K:             jsonBenchK,
-				M:             m,
-				Pruning:       cell.pruning,
-				WarmStart:     cell.warm,
-				ScalarKernels: cell.scalar,
-				Workers:       cell.workers,
-				Shards:        1,
-				Runs:          jsonBenchRuns,
+				Dataset:   dataset,
+				Products:  jsonBenchP,
+				Users:     jsonBenchU,
+				Dim:       jsonBenchD,
+				K:         jsonBenchK,
+				M:         m,
+				Pruning:   cell.pruning,
+				WarmStart: cell.warm,
+				Workers:   cell.workers,
+				Shards:    1,
+				Runs:      jsonBenchRuns,
 			}
 			if err := measureAA(inst, m, opts, &res); err != nil {
-				return fmt.Errorf("%s pruning=%v warm=%v scalar=%v workers=%d: %w",
-					dataset, cell.pruning, cell.warm, cell.scalar, cell.workers, err)
+				return fmt.Errorf("%s pruning=%v warm=%v workers=%d: %w",
+					dataset, cell.pruning, cell.warm, cell.workers, err)
 			}
 			report.Results = append(report.Results, res)
-			fmt.Printf("%-5s pruning=%-5v warm=%-5v scalar=%-5v workers=%d  %8.3fs  %9d allocs/op  %9d pivots/op  %6d steals\n",
-				dataset, cell.pruning, cell.warm, cell.scalar, cell.workers, res.WallSeconds, res.AllocsPerOp,
+			fmt.Printf("%-5s pruning=%-5v warm=%-5v workers=%d  %8.3fs  %9d allocs/op  %9d pivots/op  %6d steals\n",
+				dataset, cell.pruning, cell.warm, cell.workers, res.WallSeconds, res.AllocsPerOp,
 				res.Stats.Pivots, schedSteals(res.Sched))
 		}
 	}
@@ -210,14 +195,11 @@ func runJSONBench(cfg config, path, baselinePath string) error {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)
-	// The shard and kernel gates compare rows of the fresh report against
-	// each other, so they run on every -json invocation, baseline or not.
-	// The shard wall floor keys off the CPU count the report itself
-	// records — a committed fact, not whatever machine re-runs the check.
+	// The shard gates compare rows of the fresh report against each
+	// other, so they run on every -json invocation, baseline or not. The
+	// shard wall floor keys off the CPU count the report itself records —
+	// a committed fact, not whatever machine re-runs the check.
 	if err := checkShardScaling(report, report.NumCPU); err != nil {
-		return err
-	}
-	if err := checkKernelIdentity(report); err != nil {
 		return err
 	}
 	if baselinePath != "" {
@@ -327,65 +309,6 @@ func checkShardScaling(report benchReport, numCPU int) error {
 	return nil
 }
 
-// checkKernelIdentity enforces the DisableKernels contract on a fresh
-// report: every scalar-kernel ablation row must carry Stats exactly
-// equal — every counter, pivots included — to its kernels-on twin (the
-// row with the same dataset, pruning, warm-start, worker, and shard
-// settings). The blocked kernels reproduce the scalar loops bit for
-// bit, so any divergence means the kernels changed an answer, which no
-// wall-time win excuses. The wall ratio scalar/kernels is printed but
-// never gated: it is the measured pivot-path speedup, and wall noise on
-// shared CI machines is exactly what the identity gate is not.
-func checkKernelIdentity(report benchReport) error {
-	type key struct {
-		dataset string
-		pruning bool
-		warm    bool
-		workers int
-		shards  int
-	}
-	fast := make(map[key]benchResult)
-	for _, r := range report.Results {
-		if !r.ScalarKernels {
-			fast[key{r.Dataset, r.Pruning, r.WarmStart, r.Workers, r.Shards}] = r
-		}
-	}
-	var failures []string
-	checked := 0
-	for _, r := range report.Results {
-		if !r.ScalarKernels {
-			continue
-		}
-		k := key{r.Dataset, r.Pruning, r.WarmStart, r.Workers, r.Shards}
-		twin, ok := fast[k]
-		if !ok {
-			failures = append(failures, fmt.Sprintf(
-				"%s pruning=%v warm=%v workers=%d: scalar row has no kernels-on twin",
-				r.Dataset, r.Pruning, r.WarmStart, r.Workers))
-			continue
-		}
-		checked++
-		if r.Stats != twin.Stats {
-			failures = append(failures, fmt.Sprintf(
-				"%s pruning=%v warm=%v workers=%d: stats diverge between kernels on and off:\n"+
-					"    kernels %+v\n    scalar  %+v",
-				r.Dataset, r.Pruning, r.WarmStart, r.Workers, twin.Stats, r.Stats))
-			continue
-		}
-		fmt.Printf("kernel identity %-5s: stats identical; wall scalar/kernels = %.2fx\n",
-			r.Dataset, r.WallSeconds/twin.WallSeconds)
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("kernel identity gates failed:\n  %s", joinLines(failures))
-	}
-	if checked == 0 {
-		fmt.Println("kernel identity: no scalar rows in report; skipping")
-		return nil
-	}
-	fmt.Println("kernel identity check passed")
-	return nil
-}
-
 // measureAA runs one warm-up execution (populating res.Stats, res.Sched,
 // and res.ShardCells — all deterministic across runs) followed by
 // jsonBenchRuns measured executions, recording best-of wall time and
@@ -473,7 +396,7 @@ func checkBaseline(fresh benchReport, baselinePath string) error {
 		// Reports written before the workers axis existed carry Workers=0;
 		// those rows were measured at one worker. Reports written before the
 		// warm-start axis carry WarmStart=false on every row.
-		if (r.Workers == 1 || r.Workers == 0) && !r.ScalarKernels {
+		if r.Workers == 1 || r.Workers == 0 {
 			ref[key{r.Dataset, r.Pruning, r.WarmStart}] = refRow{r.AllocsPerOp, r.Stats.Pivots}
 		}
 	}
@@ -482,9 +405,7 @@ func checkBaseline(fresh benchReport, baselinePath string) error {
 	}
 	var failures []string
 	for _, r := range fresh.Results {
-		if r.Workers != 1 || r.ScalarKernels {
-			// Scalar-kernel rows are gated by checkKernelIdentity against
-			// their in-report twin, not against the baseline.
+		if r.Workers != 1 {
 			continue
 		}
 		want, ok := ref[key{r.Dataset, r.Pruning, r.WarmStart}]

@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"mir/internal/geom"
+	"mir/internal/kern"
 	"mir/internal/topk"
 )
 
@@ -47,9 +48,9 @@ const minTopkScanRatio = 5.0
 
 // The kernel scan-wall sweep: for every d-sweep cell the full product
 // matrix is scored against a fixed panel of the cell's first
-// topkScanPanel users, once through the blocked kernels
-// (geom.DotRows) and once through the historical scalar loops
-// (geom.DotRowsScalar), same process, fresh-vs-fresh. This is the
+// topkScanPanel users, once through the blocked kernels (kern.DotRows)
+// and once through the historical scalar loop they reproduce
+// (kern.DotRowsScalar), same process, fresh-vs-fresh. This is the
 // dot-product wall the layered index spends on every granule bound and
 // block scan, isolated from heap traffic and index bookkeeping so the
 // ratio measures the kernels and nothing else. The aggregate ratio
@@ -188,27 +189,6 @@ func runTopkBench(cfg config, path, baselinePath string) error {
 		}
 		res.WallSeconds = best
 
-		// The scalar-kernel twin: the same index rerun on the historical
-		// scalar loops. The kernels are bit-identical, so every result and
-		// both search counters must match exactly — the scanned/user the
-		// baseline gates is unchanged by the kernel setting, which is what
-		// lets the scan-wall speedup below claim a free lunch.
-		if cell.users <= topkNaiveUserCap {
-			ix.SetKernels(false)
-			scalarRes, scalarSt := ix.AllTopKWorkers(us, 1)
-			ix.SetKernels(true)
-			if scalarSt != st {
-				return fmt.Errorf("%s d=%d |U|=%d: search counters diverge kernels on/off: %+v vs %+v",
-					cell.dataset, cell.dim, cell.users, st, scalarSt)
-			}
-			for i := range scalarRes {
-				if scalarRes[i] != indexed[i] {
-					return fmt.Errorf("%s d=%d |U|=%d user %d: kernels %+v vs scalar %+v",
-						cell.dataset, cell.dim, cell.users, i, indexed[i], scalarRes[i])
-				}
-			}
-		}
-
 		// The kernel scan-wall sweep, on the d-sweep cells (the users
 		// axis reuses the d=3 matrix and would re-measure the same flat).
 		if cell.users == 20_000 {
@@ -221,8 +201,8 @@ func runTopkBench(cfg config, path, baselinePath string) error {
 				panel = append(panel, us[i].W)
 			}
 			out := make([]float64, len(ps))
-			res.ScanWallSeconds = scanWall(flat, cell.dim, panel, out, geom.DotRows)
-			res.ScanWallScalarSeconds = scanWall(flat, cell.dim, panel, out, geom.DotRowsScalar)
+			res.ScanWallSeconds = scanWall(flat, cell.dim, panel, out, kern.DotRows)
+			res.ScanWallScalarSeconds = scanWall(flat, cell.dim, panel, out, kern.DotRowsScalar)
 			res.ScanSpeedup = res.ScanWallScalarSeconds / res.ScanWallSeconds
 		}
 
@@ -284,7 +264,7 @@ func runTopkBench(cfg config, path, baselinePath string) error {
 // The two sides run the identical loop with only the dot function
 // swapped, so their ratio isolates the kernel.
 func scanWall(flat []float64, d int, panel []geom.Vector,
-	out []float64, dot func([]float64, int, geom.Vector, []float64)) float64 {
+	out []float64, dot func(flat []float64, d int, w, out []float64)) float64 {
 	best := -1.0
 	for r := 0; r < topkBenchRuns; r++ {
 		wall := timeIt(func() {

@@ -162,19 +162,16 @@ func (c config) instance(pKind, uKind string, nP, nU, d, k int, off int64) *core
 }
 
 // hostMeta records the measuring host's facts at the top of every
-// BENCH_* report: toolchain, platform, CPU count, and whether the
-// default rows ran the blocked numeric kernels. Gates that depend on
-// the measuring machine (the shard wall floor keys off CPU count) read
-// these committed facts rather than interrogating the machine that
+// BENCH_* report: toolchain, platform, and CPU count. Gates that depend
+// on the measuring machine (the shard wall floor keys off CPU count)
+// read these committed facts rather than interrogating the machine that
 // happens to re-run the check, so a report gates the same way on every
-// host. Kernels is the report-wide default; ablation rows that flip it
-// carry their own per-row flag.
+// host.
 type hostMeta struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	NumCPU    int    `json:"num_cpu"`
-	Kernels   bool   `json:"kernels"`
 }
 
 // currentHost snapshots the running machine for a fresh report.
@@ -184,7 +181,6 @@ func currentHost() hostMeta {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
-		Kernels:   true,
 	}
 }
 

@@ -233,8 +233,8 @@ func TestConcurrentQueriesSharedPools(t *testing.T) {
 		nil,
 		{Workers: 1},
 		{Workers: 4},
-		{Workers: 2, DisableRedundancyPruning: true},
-		{Workers: 1, DisableRedundancyPruning: true},
+		{Workers: 2},
+		{Workers: 8},
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)

@@ -1,6 +1,7 @@
 package mir
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -286,10 +287,11 @@ func TestMonitorHandleContractUnderFailures(t *testing.T) {
 	}
 
 	badArrivals := []User{
-		{Weights: []float64{0.5, 0.5}, K: 2},           // too few weights
-		{Weights: []float64{0.2, 0.2, 0.2, 0.4}, K: 2}, // too many
-		{Weights: []float64{0.3, 0.3, 0.4}, K: 0},      // k too small
-		{Weights: []float64{0.3, 0.3, 0.4}, K: 151},    // k beyond |P|
+		{Weights: []float64{0.5, 0.5}, K: 2},             // too few weights
+		{Weights: []float64{0.2, 0.2, 0.2, 0.4}, K: 2},   // too many
+		{Weights: []float64{0.3, 0.3, 0.4}, K: 0},        // k too small
+		{Weights: []float64{0.3, 0.3, 0.4}, K: 151},      // k beyond |P|
+		{Weights: []float64{0.3, math.NaN(), 0.4}, K: 2}, // non-finite weight
 	}
 	live := make([]int, 12)
 	for i := range live {

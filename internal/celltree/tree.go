@@ -160,15 +160,6 @@ type Tree struct {
 	// way (see TestWarmStartByteIdentical).
 	WarmStart bool
 
-	// Kernels enables the blocked pivot-elimination kernels inside the
-	// tree's LP solves (on by default); off selects the historical scalar
-	// loops (lp's DisableKernels path). Unlike WarmStart, the switch
-	// changes NOTHING observable — not even the pivot counters, since the
-	// kernels replay the identical pivot sequence bit for bit — only wall
-	// time; it exists for benchmarking and the differential property
-	// tests.
-	Kernels bool
-
 	Stats Stats
 
 	// own is the built-in sequential shard: it writes into Tree.Stats
@@ -259,7 +250,7 @@ func (s *Stats) Merge(o Stats) {
 // IS-style problems, [p, 1]^d).
 func New(box *geom.Polytope) *Tree {
 	lo, hi, ok := box.MBB()
-	t := &Tree{Dim: box.Dim, Box: box, Prune: true, WarmStart: true, Kernels: true}
+	t := &Tree{Dim: box.Dim, Box: box, Prune: true, WarmStart: true}
 	root := &Cell{ID: 0, MBBLo: lo, MBBHi: hi}
 	if !ok {
 		root.Status = Eliminated // empty search space
@@ -462,9 +453,9 @@ func (c *Cell) ClassifyInto(h geom.Halfspace, useFast bool, st *Stats) geom.Rela
 		// Seed the slab solves from the cell's split-time basis (c.warm is
 		// immutable once the cell is published, so concurrent classification
 		// stays race-free; a nil seed still chains the two slab solves).
-		return c.Polytope().ClassifyWarm(h, c.warm, &st.LP, !c.owner.Kernels)
+		return c.Polytope().ClassifyWarm(h, c.warm, &st.LP)
 	}
-	return c.Polytope().ClassifyCounted(h, &st.LP, !c.owner.Kernels)
+	return c.Polytope().ClassifyCounted(h, &st.LP)
 }
 
 // Prewarm materializes the cell's cached H-representation (and, through
@@ -588,14 +579,14 @@ func (sh *Shard) SplitBy(c *Cell, h geom.Halfspace) (left, right *Cell) {
 				// a Basis is immutable, so sharing is safe.
 				wb := &lp.Basis{}
 				var wok bool
-				red, rst, wok = geom.ReduceCellBasis(tr.Dim, in, lo, hi, c.warm, wb, &sh.st.LP, !tr.Kernels)
+				red, rst, wok = geom.ReduceCellBasis(tr.Dim, in, lo, hi, c.warm, wb, &sh.st.LP)
 				if wok {
 					ch.warm = wb
 				} else {
 					ch.warm = c.warm
 				}
 			} else {
-				red, rst, _ = geom.ReduceCellBasis(tr.Dim, in, lo, hi, nil, nil, &sh.st.LP, !tr.Kernels)
+				red, rst, _ = geom.ReduceCellBasis(tr.Dim, in, lo, hi, nil, nil, &sh.st.LP)
 			}
 			sh.st.PruneLPTests += rst.LPTests
 			sh.st.PrunedRows += rst.BoxDropped + rst.LPDropped

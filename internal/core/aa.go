@@ -56,12 +56,7 @@ func runAA(inst *Instance, m int, opts Options) (*aaRun, error) {
 // prepStats returns Stats holding only the instance's all-top-k
 // preprocessing counters.
 func (inst *Instance) prepStats() Stats {
-	st := Stats{ScannedProducts: inst.Prep.ScannedProducts, LayerPrunes: inst.Prep.LayerPrunes}
-	if inst.TopKIndex != nil {
-		st.IndexPatches = inst.TopKIndex.Patches()
-		st.IndexRebuilds = inst.TopKIndex.Rebuilds()
-	}
-	return st
+	return Stats{ScannedProducts: inst.Prep.ScannedProducts, LayerPrunes: inst.Prep.LayerPrunes}
 }
 
 // runMode selects the loop's objective: computing the m-impact region, or
@@ -156,7 +151,6 @@ func (r *aaRun) seedRootPrescreened(rel []geom.Relation) {
 	r.seq = &aaWorker{r: r, sh: r.tr.OwnShard(), st: &r.st, fanout: r.workers()}
 	r.tr.Prune = !r.opts.DisablePruning
 	r.tr.WarmStart = !r.opts.DisableWarmStart
-	r.tr.Kernels = !r.opts.DisableKernels
 	root := r.tr.Root
 	if root.Status != celltree.Active {
 		return
@@ -791,12 +785,12 @@ func (w *aaWorker) classifyByHullParallel(c *celltree.Cell, v *view) (gc, ge, gi
 		switch {
 		case len(vcPts) > 0 && func() bool {
 			hullTests[g]++
-			return geom.InConvexHullCounted(inst.WProj[ui], vcPts, &hullLP[g], r.opts.DisableKernels)
+			return geom.InConvexHullCounted(inst.WProj[ui], vcPts, &hullLP[g])
 		}():
 			memRel[pos] = geom.Covers
 		case len(vePts) > 0 && func() bool {
 			hullTests[g]++
-			return geom.InConvexHullCounted(inst.WProj[ui], vePts, &hullLP[g], r.opts.DisableKernels)
+			return geom.InConvexHullCounted(inst.WProj[ui], vePts, &hullLP[g])
 		}():
 			memRel[pos] = geom.Excludes
 		default:
@@ -832,7 +826,7 @@ func (w *aaWorker) classifyByHullParallel(c *celltree.Cell, v *view) (gc, ge, gi
 func (w *aaWorker) inHull(q geom.Vector, pts []geom.Vector) bool {
 	w.st.HullTests++
 	var d lp.Counters
-	in := geom.InConvexHullCounted(q, pts, &d, w.r.opts.DisableKernels)
+	in := geom.InConvexHullCounted(q, pts, &d)
 	w.st.addLP(d)
 	return in
 }

@@ -197,6 +197,11 @@ func TestSolveISErrors(t *testing.T) {
 	if _, err := SolveIS(ps, us, 0, -1, L2Cost{}, Options{}); err == nil {
 		t.Error("negative budget accepted")
 	}
+	nanPs := append([]geom.Vector(nil), ps...)
+	nanPs[4] = geom.Vector{math.NaN(), 0.5}
+	if _, err := SolveIS(nanPs, us, 4, 0.5, L2Cost{}, Options{}); err == nil {
+		t.Error("NaN target product accepted")
+	}
 }
 
 // TestSolveISZeroBudget: with budget 0 the only option is standing still.

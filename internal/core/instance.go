@@ -31,7 +31,18 @@ var (
 	ErrBadM        = errors.New("core: m must satisfy 1 <= m <= |U|")
 	ErrBadK        = errors.New("core: every user k must satisfy 1 <= k <= |P|")
 	ErrDimMismatch = errors.New("core: product and user dimensionalities differ")
+	ErrNonFinite   = errors.New("core: product attributes and user weights must be finite")
 )
+
+// firstNonFinite returns the index of the first NaN or ±Inf in v, or -1.
+func firstNonFinite(v []float64) int {
+	for j, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return j
+		}
+	}
+	return -1
+}
 
 // Instance is a validated, preprocessed mIR problem: the products, users,
 // every user's influential halfspace, and the user groups of Section 5.1.
@@ -68,11 +79,6 @@ type Instance struct {
 	// wFlat is the row-major |U|×d backing of the halfspace normals.
 	wFlat []float64
 
-	// scalarKernels records Options.DisableKernels for the instance's
-	// lazily built numeric structures (the halfspace bands): bit-identical
-	// either way, it only selects which loops spend the wall time.
-	scalarKernels bool
-
 	// bands caches the banded box-corner prescreen bounds over the
 	// halfspace normals and thresholds (built on first use; see
 	// HalfspaceBands).
@@ -92,7 +98,7 @@ func (inst *Instance) HalfspaceBands() *topk.HalfspaceBands {
 		for i, h := range inst.HS {
 			t[i] = h.T
 		}
-		inst.bands = topk.NewHalfspaceBandsKernels(inst.wFlat, inst.Dim, t, !inst.scalarKernels)
+		inst.bands = topk.NewHalfspaceBands(inst.wFlat, inst.Dim, t)
 	})
 	return inst.bands
 }
@@ -124,6 +130,9 @@ func NewInstanceWorkers(products []geom.Vector, users []topk.UserPref, workers i
 // opts.DisableTopKIndex selects); the built index stays on the Instance
 // for the dynamic path to reuse.
 //
+// Validation rejects NaN and ±Inf product attributes and user weights
+// with ErrNonFinite, next to the dimension and k checks.
+//
 // After construction the Instance is read-only for query execution: AA
 // runs (and therefore concurrent Analyzer queries) only read it.
 func NewInstanceOpts(products []geom.Vector, users []topk.UserPref, opts Options) (*Instance, error) {
@@ -139,11 +148,17 @@ func NewInstanceOpts(products []geom.Vector, users []topk.UserPref, opts Options
 			return nil, fmt.Errorf("%w: product %d has %d attributes, want %d",
 				ErrDimMismatch, i, len(p), d)
 		}
+		if j := firstNonFinite(p); j >= 0 {
+			return nil, fmt.Errorf("%w: product %d attribute %d is %v", ErrNonFinite, i, j, p[j])
+		}
 	}
 	for i, u := range users {
 		if len(u.W) != d {
 			return nil, fmt.Errorf("%w: user %d has %d weights, want %d",
 				ErrDimMismatch, i, len(u.W), d)
+		}
+		if j := firstNonFinite(u.W); j >= 0 {
+			return nil, fmt.Errorf("%w: user %d weight %d is %v", ErrNonFinite, i, j, u.W[j])
 		}
 		if u.K < 1 || u.K > len(products) {
 			return nil, fmt.Errorf("%w: user %d has k=%d (|P|=%d)",
@@ -153,16 +168,14 @@ func NewInstanceOpts(products []geom.Vector, users []topk.UserPref, opts Options
 
 	workers := opts.Workers
 	inst := &Instance{
-		Products:      products,
-		Users:         users,
-		Dim:           d,
-		scalarKernels: opts.DisableKernels,
+		Products: products,
+		Users:    users,
+		Dim:      d,
 	}
 	if opts.DisableTopKIndex {
 		inst.Kth = topk.AllTopKWorkers(products, users, workers)
 	} else {
 		inst.TopKIndex = topk.NewIndex(products)
-		inst.TopKIndex.SetKernels(!opts.DisableKernels)
 		inst.Kth, inst.Prep = inst.TopKIndex.AllTopKWorkers(users, workers)
 	}
 	inst.HS = make([]geom.Halfspace, len(users))

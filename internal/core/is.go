@@ -51,6 +51,10 @@ func competitorInstance(products []geom.Vector, users []topk.UserPref, pIdx int)
 	if pIdx < 0 || pIdx >= len(products) {
 		return nil, fmt.Errorf("core: product index %d out of range [0,%d)", pIdx, len(products))
 	}
+	// The product itself is left out of the instance, so validate it here.
+	if j := firstNonFinite(products[pIdx]); j >= 0 {
+		return nil, fmt.Errorf("%w: product %d attribute %d is %v", ErrNonFinite, pIdx, j, products[pIdx][j])
+	}
 	others := make([]geom.Vector, 0, len(products)-1)
 	others = append(others, products[:pIdx]...)
 	others = append(others, products[pIdx+1:]...)

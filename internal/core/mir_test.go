@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -294,6 +296,11 @@ func TestInputValidation(t *testing.T) {
 	badK := data.WithK(data.UniformUsers(rng, 5, 3), 500) // k > |P|
 	if _, err := NewInstance(ps, badK); err == nil {
 		t.Error("k > |P| accepted")
+	}
+	infPs := append([]geom.Vector(nil), ps...)
+	infPs[3] = geom.Vector{0.5, math.Inf(-1), 0.5}
+	if _, err := NewInstance(infPs, us); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("-Inf product attribute: err = %v, want ErrNonFinite", err)
 	}
 
 	inst, err := NewInstance(ps, us)

@@ -17,8 +17,12 @@ const (
 )
 
 // Options tune the AA algorithm; the zero value enables every optimization
-// (the paper's configuration). The Disable* switches exist for the
-// effectiveness ablations of Section 6.4.
+// (the paper's configuration). DisableFastTest, DisableInnerGroup,
+// Disable2D and DisableGrouping are the effectiveness ablations of
+// Section 6.4, which the public mir.Options mirrors. The engineering
+// switches (DisablePruning, DisableWarmStart, DisableTopKIndex,
+// DisableRouting) are not public: their off paths serve as references
+// for mirbench's ablation axes, the shard pilot, and the identity tests.
 type Options struct {
 	// Workers caps the parallel execution layer threaded through the
 	// engine: the all-top-k preprocessing fan-out, instance construction
@@ -82,19 +86,6 @@ type Options struct {
 	// are byte-identical either way; the switch keeps the cold path
 	// selectable for benchmarking and the differential property tests.
 	DisableWarmStart bool
-	// DisableKernels turns off the blocked numeric kernels
-	// (internal/kern) everywhere they are threaded: the pivot
-	// eliminations inside every LP solve (classification, redundancy,
-	// hull membership), the layered index's batched scoring and bound
-	// maintenance, and the shard prescreen's band construction. The
-	// scalar paths selected instead are the verbatim historical loops,
-	// and the kernels reproduce them bit for bit — so unlike every other
-	// Disable* switch this one changes NOTHING observable: regions,
-	// arrangements, and every Stats counter (pivot counts included) are
-	// byte-identical either way; only wall time moves. It exists for
-	// benchmarking (the bench-check kernel gates) and the differential
-	// property tests.
-	DisableKernels bool
 	// DisableTopKIndex turns off the layered all-top-k product index
 	// (topk.Index): preprocessing falls back to the skyband-pruned full
 	// scan and the dynamic path's UserArrived recomputes thresholds by
@@ -160,14 +151,10 @@ type Stats struct {
 	// bound granules) skipped whole by the threshold bound, summed over
 	// the instance's preprocessing and every
 	// UserArrived answered from the index (zero when the index is
-	// disabled). IndexPatches and IndexRebuilds mirror the index's
-	// product-dynamics lifecycle counters. All four are deterministic
-	// across worker counts (per-user work is partition-independent and
-	// merges by summation).
+	// disabled). Both are deterministic across worker counts (per-user
+	// work is partition-independent and merges by summation).
 	ScannedProducts int64
 	LayerPrunes     int64
-	IndexPatches    int64
-	IndexRebuilds   int64
 	// RoutedLeaves, SkippedSubtrees, and TouchedFrontier profile routed
 	// incremental maintenance (zero outside maintained runs; see
 	// celltree.Stats for the exact semantics). RoutedLeaves counts leaf

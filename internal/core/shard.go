@@ -272,8 +272,6 @@ func (s *Stats) merge(o Stats) {
 	s.ColdSolves += o.ColdSolves
 	s.ScannedProducts += o.ScannedProducts
 	s.LayerPrunes += o.LayerPrunes
-	s.IndexPatches += o.IndexPatches
-	s.IndexRebuilds += o.IndexRebuilds
 	s.RoutedLeaves += o.RoutedLeaves
 	s.SkippedSubtrees += o.SkippedSubtrees
 	s.TouchedFrontier += o.TouchedFrontier

@@ -34,19 +34,9 @@ type feaserScratch struct {
 
 var feaserPool = sync.Pool{New: func() any { return new(feaserScratch) }}
 
-// getScratch acquires a pooled scratch with its solvers' kernel
-// dispatch set for this call: scalar selects the historical scalar
-// pivot loops (the DisableKernels path), false the blocked kernels.
-// The flag is set on every acquisition because the pool is shared
-// across callers with different settings; it changes wall time and
-// nothing else (see lp's elim.go), so pool reuse order never affects
-// results. Every release goes back through feaserPool.Put as before.
-func getScratch(scalar bool) *feaserScratch {
-	s := feaserPool.Get().(*feaserScratch)
-	s.f.DisableKernels = scalar
-	s.w.DisableKernels = scalar
-	return s
-}
+// getScratch acquires a pooled scratch; every release goes back
+// through feaserPool.Put.
+func getScratch() *feaserScratch { return feaserPool.Get().(*feaserScratch) }
 
 // growFloat resizes *buf to length n, reusing capacity.
 func growFloat(buf *[]float64, n int) []float64 {

@@ -172,21 +172,19 @@ func extremeLP(pts []Vector) []int {
 // scratch's reusable workspace: this is AA's inner-group hot path and runs
 // allocation-free in steady state.
 func InConvexHull(q Vector, pts []Vector) bool {
-	return InConvexHullCounted(q, pts, nil, false)
+	return InConvexHullCounted(q, pts, nil)
 }
 
 // InConvexHullCounted is InConvexHull with LP effort accounting: the
 // underlying workspace's pivot and solve counters are accumulated into ctr
-// when it is non-nil. The solve path is identical, on the historical
-// scalar pivot loops when scalarLP is set (lp's DisableKernels path) —
-// bit-identical either way.
-func InConvexHullCounted(q Vector, pts []Vector, ctr *lp.Counters, scalarLP bool) bool {
+// when it is non-nil. The solve path is identical.
+func InConvexHullCounted(q Vector, pts []Vector, ctr *lp.Counters) bool {
 	n := len(pts)
 	if n == 0 {
 		return false
 	}
 	dim := len(q)
-	s := getScratch(scalarLP)
+	s := getScratch()
 	defer feaserPool.Put(s)
 	if ctr != nil {
 		w0 := s.w.Counters

@@ -13,13 +13,11 @@ import (
 // exist so the index can score whole product layers over contiguous
 // memory instead of chasing per-product heap vectors.
 //
-// The actual loops live in internal/kern. Each operation has two entry
-// points: the default (DotRows, RowMax, RowMin) dispatches once per
-// call to kern's width-specialized blocked kernels, and the *Scalar
-// twin runs kern's verbatim copy of the historical loop — the path
-// DisableKernels selects. The two are bit-identical (see kern's
-// package comment for the exact contract and the NaN-payload caveat),
-// so which one a caller picks changes wall time and nothing else.
+// The actual loops live in internal/kern: each entry point validates
+// its arguments and dispatches once per call to kern's
+// width-specialized blocked kernels, which reproduce kern's verbatim
+// copies of the historical loops bit for bit (see kern's package
+// comment for the exact contract and the NaN-payload caveat).
 //
 // Bit-identity contract: for every row r, the result equals
 // w.Dot(row_r) exactly — same multiplication pairs, same accumulation
@@ -34,42 +32,24 @@ import (
 // (never the case in-repo: outputs are scratch buffers, weights are
 // user vectors).
 func DotRows(flat []float64, d int, w Vector, out []float64) {
-	if dotRowsTrivial(flat, d, w, out) {
-		return
-	}
-	kern.DotRows(flat, d, w, out)
-}
-
-// DotRowsScalar is DotRows on the historical pair-loop kernel: the
-// path DisableKernels selects. Bit-identical to DotRows.
-func DotRowsScalar(flat []float64, d int, w Vector, out []float64) {
-	if dotRowsTrivial(flat, d, w, out) {
-		return
-	}
-	kern.DotRowsScalar(flat, d, w, out)
-}
-
-// dotRowsTrivial validates the DotRows contract and handles the shapes
-// the kernels assume away (no rows, zero-width rows), reporting true
-// when the call is already complete.
-func dotRowsTrivial(flat []float64, d int, w Vector, out []float64) bool {
 	if len(w) != d {
 		panic(fmt.Sprintf("geom: DotRows weight has %d components, want %d", len(w), d))
 	}
 	n := len(out)
 	if n == 0 {
-		return true
+		return
 	}
 	if len(flat) < n*d {
 		panic(fmt.Sprintf("geom: DotRows matrix has %d values, need %d", len(flat), n*d))
 	}
 	if d == 0 {
+		// Zero-width rows: a shape the kernels assume away.
 		for r := range out {
 			out[r] = 0
 		}
-		return true
+		return
 	}
-	return false
+	kern.DotRows(flat, d, w, out)
 }
 
 // RowMax widens max (length d) to the componentwise maximum of itself
@@ -88,15 +68,6 @@ func RowMax(flat []float64, d int, max []float64) {
 	kern.RowMax(flat, d, max)
 }
 
-// RowMaxScalar is RowMax on the historical row-major loop: the path
-// DisableKernels selects. Bit-identical to RowMax.
-func RowMaxScalar(flat []float64, d int, max []float64) {
-	if rowBoundTrivial("RowMax", flat, d, max) {
-		return
-	}
-	kern.RowMaxScalar(flat, d, max)
-}
-
 // RowMin widens min (length d) to the componentwise minimum of itself
 // and the rows of flat: the lower-band counterpart of RowMax. The pair
 // brackets every row of a block between two vectors, which is what the
@@ -107,15 +78,6 @@ func RowMin(flat []float64, d int, min []float64) {
 		return
 	}
 	kern.RowMin(flat, d, min)
-}
-
-// RowMinScalar is RowMin on the historical row-major loop: the path
-// DisableKernels selects. Bit-identical to RowMin.
-func RowMinScalar(flat []float64, d int, min []float64) {
-	if rowBoundTrivial("RowMin", flat, d, min) {
-		return
-	}
-	kern.RowMinScalar(flat, d, min)
 }
 
 // rowBoundTrivial validates the RowMax/RowMin contract — the bound

@@ -106,7 +106,7 @@ func TestRowMaxValidates(t *testing.T) {
 // early return that used to run BEFORE the bound-length validation:
 // callers passing a stale non-empty bound (or leftover matrix values)
 // with d == 0 silently got no panic and no widening. The length checks
-// now run first, on both the fast and scalar entry points.
+// now run first.
 func TestRowBoundZeroDimValidates(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -118,8 +118,7 @@ func TestRowBoundZeroDimValidates(t *testing.T) {
 		f()
 	}
 	for name, rowMax := range map[string]func([]float64, int, []float64){
-		"RowMax": RowMax, "RowMaxScalar": RowMaxScalar,
-		"RowMin": RowMin, "RowMinScalar": RowMinScalar,
+		"RowMax": RowMax, "RowMin": RowMin,
 	} {
 		mustPanic(name+" stale bound at d=0", func() {
 			rowMax(nil, 0, []float64{0.5})
@@ -128,53 +127,5 @@ func TestRowBoundZeroDimValidates(t *testing.T) {
 			rowMax([]float64{0.3}, 0, nil)
 		})
 		rowMax(nil, 0, nil) // the genuinely empty call stays accepted
-	}
-}
-
-// TestMatrixKernelTwinsBitIdentical pins the geom-level dispatch: the
-// fast entry points and their *Scalar twins (the DisableKernels path)
-// return identical bits on identical inputs, across widths hitting the
-// specialized kernels, the generic blocked path, and every tail shape.
-func TestMatrixKernelTwinsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	for _, d := range []int{1, 2, 3, 4, 5, 7, 8, 11, 16} {
-		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 64, 65, 130} {
-			flat := make([]float64, n*d)
-			for i := range flat {
-				flat[i] = rng.NormFloat64()
-			}
-			w := make(Vector, d)
-			for j := range w {
-				w[j] = rng.NormFloat64()
-			}
-			fast := make([]float64, n)
-			ref := make([]float64, n)
-			DotRows(flat, d, w, fast)
-			DotRowsScalar(flat, d, w, ref)
-			for r := range fast {
-				if math.Float64bits(fast[r]) != math.Float64bits(ref[r]) {
-					t.Fatalf("DotRows d=%d n=%d row %d: fast=%x scalar=%x", d, n, r,
-						math.Float64bits(fast[r]), math.Float64bits(ref[r]))
-				}
-			}
-			fastMax := append([]float64(nil), w...)
-			refMax := append([]float64(nil), w...)
-			RowMax(flat, d, fastMax)
-			RowMaxScalar(flat, d, refMax)
-			fastMin := append([]float64(nil), w...)
-			refMin := append([]float64(nil), w...)
-			RowMin(flat, d, fastMin)
-			RowMinScalar(flat, d, refMin)
-			for j := 0; j < d; j++ {
-				if math.Float64bits(fastMax[j]) != math.Float64bits(refMax[j]) {
-					t.Fatalf("RowMax d=%d n=%d col %d: fast=%x scalar=%x", d, n, j,
-						math.Float64bits(fastMax[j]), math.Float64bits(refMax[j]))
-				}
-				if math.Float64bits(fastMin[j]) != math.Float64bits(refMin[j]) {
-					t.Fatalf("RowMin d=%d n=%d col %d: fast=%x scalar=%x", d, n, j,
-						math.Float64bits(fastMin[j]), math.Float64bits(refMin[j]))
-				}
-			}
-		}
 	}
 }

@@ -106,7 +106,7 @@ func (p *Polytope) Append(h Halfspace) { p.Hs = append(p.Hs, h) }
 
 // IsEmpty reports whether the polytope has no points (up to tolerance).
 func (p *Polytope) IsEmpty() bool {
-	f := getScratch(false)
+	f := getScratch()
 	feas := f.feasible(p)
 	feaserPool.Put(f)
 	return !feas
@@ -115,7 +115,7 @@ func (p *Polytope) IsEmpty() bool {
 // FeasiblePoint returns a point of the polytope, or ok=false when empty.
 // The returned vector is caller-owned.
 func (p *Polytope) FeasiblePoint() (Vector, bool) {
-	s := getScratch(false)
+	s := getScratch()
 	defer feaserPool.Put(s)
 	A, b := s.loadLP(p)
 	ok, x := s.w.FeasibleFlat(p.Dim, A, b)
@@ -130,7 +130,7 @@ func (p *Polytope) FeasiblePoint() (Vector, bool) {
 // (which cannot happen for the box-bounded cells used by mIR). The
 // returned vector is caller-owned.
 func (p *Polytope) Maximize(obj Vector) (val float64, arg Vector, ok bool) {
-	s := getScratch(false)
+	s := getScratch()
 	defer feaserPool.Put(s)
 	A, b := s.loadLP(p)
 	r := s.w.MaximizeFlat(obj, A, b)
@@ -143,7 +143,7 @@ func (p *Polytope) Maximize(obj Vector) (val float64, arg Vector, ok bool) {
 // Minimize returns min obj·x over the polytope along with a minimizer.
 // The returned vector is caller-owned.
 func (p *Polytope) Minimize(obj Vector) (val float64, arg Vector, ok bool) {
-	s := getScratch(false)
+	s := getScratch()
 	defer feaserPool.Put(s)
 	neg := growFloat(&s.cBuf, len(obj))
 	for i, v := range obj {
@@ -168,16 +168,14 @@ func (p *Polytope) Minimize(obj Vector) (val float64, arg Vector, ok bool) {
 // simplex (lp.Feaser), which has only d rows and no phase 1 — this is the
 // hot path of the arrangement algorithms.
 func (p *Polytope) Classify(h Halfspace) Relation {
-	return p.classify(h, nil, nil, false, false)
+	return p.classify(h, nil, nil, false)
 }
 
 // ClassifyCounted is Classify with LP effort accounting: the pivot and
 // solve counters of the underlying solvers are accumulated into ctr. The
-// solve path is exactly Classify's, on the historical scalar pivot loops
-// when scalarLP is set (lp's DisableKernels path) — bit-identical either
-// way, so the flag changes wall time and nothing else.
-func (p *Polytope) ClassifyCounted(h Halfspace, ctr *lp.Counters, scalarLP bool) Relation {
-	return p.classify(h, nil, ctr, false, scalarLP)
+// solve path is exactly Classify's.
+func (p *Polytope) ClassifyCounted(h Halfspace, ctr *lp.Counters) Relation {
+	return p.classify(h, nil, ctr, false)
 }
 
 // ClassifyWarm is Classify with warm-started LPs: the below-slab solve
@@ -185,14 +183,13 @@ func (p *Polytope) ClassifyCounted(h Halfspace, ctr *lp.Counters, scalarLP bool)
 // cell's split-time reduction basis; nil is allowed), and the above-slab
 // solve chains from the below solve's exported basis. The relation
 // returned is identical to Classify's for any seed — warm starts change
-// pivot paths, never verdicts; the seed is only read. scalarLP as in
-// ClassifyCounted.
-func (p *Polytope) ClassifyWarm(h Halfspace, seed *lp.Basis, ctr *lp.Counters, scalarLP bool) Relation {
-	return p.classify(h, seed, ctr, true, scalarLP)
+// pivot paths, never verdicts; the seed is only read.
+func (p *Polytope) ClassifyWarm(h Halfspace, seed *lp.Basis, ctr *lp.Counters) Relation {
+	return p.classify(h, seed, ctr, true)
 }
 
-func (p *Polytope) classify(h Halfspace, seed *lp.Basis, ctr *lp.Counters, warm, scalarLP bool) Relation {
-	f := getScratch(scalarLP)
+func (p *Polytope) classify(h Halfspace, seed *lp.Basis, ctr *lp.Counters, warm bool) Relation {
+	f := getScratch()
 	defer feaserPool.Put(f)
 	f0, w0 := f.f.Counters, f.w.Counters
 	if warm {
@@ -253,7 +250,7 @@ func (p *Polytope) classify(h Halfspace, seed *lp.Basis, ctr *lp.Counters, warm,
 // may hold a stale program, so the cold first solve is mandatory; the
 // re-entries fall back to a cold solve if refused.
 func (p *Polytope) MBB() (lo, hi Vector, ok bool) {
-	s := getScratch(false)
+	s := getScratch()
 	defer feaserPool.Put(s)
 	A, b := s.loadLP(p)
 	lo = make(Vector, p.Dim)

@@ -85,7 +85,7 @@ type ReduceStats struct {
 // The returned slice is freshly allocated; the axis rows share cached unit
 // normals and the surviving rows share hs's coefficient vectors.
 func ReduceCell(dim int, hs []Halfspace, lo, hi Vector) ([]Halfspace, ReduceStats) {
-	out, st, _ := ReduceCellBasis(dim, hs, lo, hi, nil, nil, nil, false)
+	out, st, _ := ReduceCellBasis(dim, hs, lo, hi, nil, nil, nil)
 	return out, st
 }
 
@@ -103,10 +103,8 @@ func ReduceCell(dim int, hs []Halfspace, lo, hi Vector) ([]Halfspace, ReduceStat
 //
 // With seed == nil and export == nil the solves run cold and unkeyed —
 // exactly the legacy pivot sequence — so the cold path stays selectable
-// (celltree gates it on Tree.WarmStart). scalarLP routes the solves
-// through the historical scalar pivot loops (lp's DisableKernels path);
-// bit-identical either way (celltree gates it on Tree.Kernels).
-func ReduceCellBasis(dim int, hs []Halfspace, lo, hi Vector, seed, export *lp.Basis, ctr *lp.Counters, scalarLP bool) ([]Halfspace, ReduceStats, bool) {
+// (celltree gates it on Tree.WarmStart).
+func ReduceCellBasis(dim int, hs []Halfspace, lo, hi Vector, seed, export *lp.Basis, ctr *lp.Counters) ([]Halfspace, ReduceStats, bool) {
 	var st ReduceStats
 	pos, neg := unitVectors(dim)
 	out := make([]Halfspace, 0, 2*dim+len(hs))
@@ -141,7 +139,7 @@ func ReduceCellBasis(dim int, hs []Halfspace, lo, hi Vector, seed, export *lp.Ba
 	chain := seed
 	exported := false
 	if len(out) > nBox+1 {
-		s := getScratch(scalarLP)
+		s := getScratch()
 		f0, w0 := s.f.Counters, s.w.Counters
 		for i := nBox; i < len(out); {
 			h := out[i]

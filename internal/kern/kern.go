@@ -19,9 +19,9 @@
 // fuzzers pin exact bits for every non-NaN result and NaN ⇔ NaN
 // otherwise), and the engine's finite-data paths never produce NaNs.
 // The engine's determinism guarantees rest on this: regions,
-// arrangements, and all algorithmic stats must be byte-identical with
-// kernels on or off, so a kernel may only reorganize work that IEEE 754
-// arithmetic is indifferent to:
+// arrangements, and all algorithmic stats must be byte-identical to
+// what the historical scalar loops computed, so a kernel may only
+// reorganize work that IEEE 754 arithmetic is indifferent to:
 //
 //   - Dot products keep the exact association order of the scalar
 //     kernel: the same multiplication pairs, accumulated into the same

@@ -2,11 +2,11 @@ package kern
 
 // This file holds the scalar reference kernels: verbatim copies of the
 // historical loops the fast paths replaced (geom.DotRows / RowMax /
-// RowMin as of the layered-index PR, and geom's dot). They are what
-// DisableKernels selects at runtime, and what the differential tests
-// and fuzzers in this package compare the fast kernels against — so
-// they must never be "improved"; any change here moves the bit-identity
-// anchor itself.
+// RowMin as of the layered-index PR, and geom's dot). The engine never
+// runs them; they are what the differential tests, fuzzers, and
+// benchmarks in this package (and mirbench's scan-wall sweep) compare
+// the fast kernels against — so they must never be "improved"; any
+// change here moves the bit-identity anchor itself.
 
 // dotScalar is the four-way-unrolled inner-product kernel (verbatim
 // geom.dot): stride-4 lanes s0..s3, remainder into s0, folded as

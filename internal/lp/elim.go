@@ -6,8 +6,9 @@ import "mir/internal/kern"
 // both simplex engines run: Workspace.pivot (the two-phase primal
 // solver) and Feaser.pivot (the dual feasibility solver) were
 // copy-paste divergent scalar loops before the kernel layer; they now
-// share eliminate/eliminateAux, which dispatch between internal/kern's
-// blocked row kernels and the verbatim historical scalar loops.
+// share eliminate/eliminateAux, which run internal/kern's blocked row
+// kernels. The historical loops survive only as test references
+// (kern's scalar.go and this package's parity fuzzer).
 //
 // Bit-identity: the pivot-row normalization and the per-row
 // subtract-scaled update are elementwise (no cross-element
@@ -25,15 +26,10 @@ import "mir/internal/kern"
 // rows x stride): normalize the pivot row by 1/tab[row,col] and set
 // its pivot column to exactly 1, then for every other row with a
 // nonzero pivot-column factor subtract factor*pivotRow and zero its
-// pivot column. scalar selects the historical loops (DisableKernels).
-func eliminate(tab []float64, stride, rows, row, col int, scalar bool) {
+// pivot column.
+func eliminate(tab []float64, stride, rows, row, col int) {
 	pr := tab[row*stride : (row+1)*stride]
-	inv := 1 / pr[col]
-	if scalar {
-		kern.ScaleRowScalar(pr, inv)
-	} else {
-		kern.ScaleRow(pr, inv)
-	}
+	kern.ScaleRow(pr, 1/pr[col])
 	pr[col] = 1
 	for i := 0; i < rows; i++ {
 		if i == row {
@@ -44,11 +40,7 @@ func eliminate(tab []float64, stride, rows, row, col int, scalar bool) {
 		if fac == 0 {
 			continue
 		}
-		if scalar {
-			kern.SubScaledScalar(ri, pr, fac)
-		} else {
-			kern.SubScaled(ri, pr, fac)
-		}
+		kern.SubScaled(ri, pr, fac)
 		ri[col] = 0
 	}
 }
@@ -57,15 +49,11 @@ func eliminate(tab []float64, stride, rows, row, col int, scalar bool) {
 // reduced-cost row of either engine — against the already-scaled pivot
 // row pr, preserving the historical fac == 0 skip. z must hold at
 // least len(pr) values; only the first len(pr) are touched.
-func eliminateAux(z, pr []float64, col int, scalar bool) {
+func eliminateAux(z, pr []float64, col int) {
 	fac := z[col]
 	if fac == 0 {
 		return
 	}
-	if scalar {
-		kern.SubScaledScalar(z, pr, fac)
-	} else {
-		kern.SubScaled(z, pr, fac)
-	}
+	kern.SubScaled(z, pr, fac)
 	z[col] = 0
 }

@@ -78,9 +78,8 @@ func tabEqualBits(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestPivotMatchesHistoricalLoops pins the deduplicated elimination —
-// kernels on AND off — byte-identical to verbatim copies of the two
-// old pivot loops, over tableaus mixing ordinary values with zeros
+// TestPivotMatchesHistoricalLoops pins the deduplicated elimination
+// byte-identical to verbatim copies of the two old pivot loops, over tableaus mixing ordinary values with zeros
 // (exercising the fac == 0 skip), across widths hitting the blocked
 // kernels and their tails.
 func TestPivotMatchesHistoricalLoops(t *testing.T) {
@@ -112,94 +111,25 @@ func TestPivotMatchesHistoricalLoops(t *testing.T) {
 
 		wantTab := append([]float64(nil), tab...)
 		oldWorkspacePivot(wantTab, width, m, row, col)
-		for _, scalar := range []bool{false, true} {
-			gotTab := append([]float64(nil), tab...)
-			eliminate(gotTab, width, m, row, col, scalar)
-			tabEqualBits(t, "workspace pivot", gotTab, wantTab)
-		}
+		gotTab := append([]float64(nil), tab...)
+		eliminate(gotTab, width, m, row, col)
+		tabEqualBits(t, "workspace pivot", gotTab, wantTab)
 
 		wantFTab := append([]float64(nil), tab...)
 		wantZ := append([]float64(nil), z...)
 		oldFeaserPivot(wantFTab, wantZ, width, m, row, col)
-		for _, scalar := range []bool{false, true} {
-			gotTab := append([]float64(nil), tab...)
-			gotZ := append([]float64(nil), z...)
-			eliminate(gotTab, width, m, row, col, scalar)
-			eliminateAux(gotZ, gotTab[row*width:(row+1)*width], col, scalar)
-			tabEqualBits(t, "feaser pivot tab", gotTab, wantFTab)
-			tabEqualBits(t, "feaser pivot z", gotZ, wantZ)
-		}
-	}
-}
-
-// TestSolversKernelsOnOffIdentical runs whole solves — the two-phase
-// primal solver and the dual Feaser — with DisableKernels on and off
-// and requires identical results, identical solution bits, and
-// identical pivot counts: the switch must change nothing observable.
-func TestSolversKernelsOnOffIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 120; trial++ {
-		n := 2 + rng.Intn(4)
-		m := 1 + rng.Intn(6)
-		A := make([][]float64, m)
-		b := make([]float64, m)
-		c := make([]float64, n)
-		for i := range A {
-			A[i] = make([]float64, n)
-			for j := range A[i] {
-				A[i][j] = rng.NormFloat64()
-			}
-			b[i] = rng.Float64() * 2
-		}
-		for j := range c {
-			c[j] = rng.NormFloat64()
-		}
-
-		var on, off Workspace
-		off.DisableKernels = true
-		resOn := on.Maximize(c, A, b)
-		resOff := off.Maximize(c, A, b)
-		if resOn.Status != resOff.Status {
-			t.Fatalf("trial %d: status on=%v off=%v", trial, resOn.Status, resOff.Status)
-		}
-		if on.Counters.Pivots != off.Counters.Pivots {
-			t.Fatalf("trial %d: pivots on=%d off=%d", trial, on.Counters.Pivots, off.Counters.Pivots)
-		}
-		if resOn.Status == Optimal {
-			if math.Float64bits(resOn.Obj) != math.Float64bits(resOff.Obj) {
-				t.Fatalf("trial %d: obj on=%x off=%x", trial,
-					math.Float64bits(resOn.Obj), math.Float64bits(resOff.Obj))
-			}
-			tabEqualBits(t, "solution", resOn.X, resOff.X)
-		}
-
-		// Feaser: random GE system over the same shapes.
-		ws := make([][]float64, m)
-		ts := make([]float64, m)
-		for i := range ws {
-			ws[i] = make([]float64, n)
-			for j := range ws[i] {
-				ws[i][j] = rng.NormFloat64()
-			}
-			ts[i] = rng.NormFloat64()
-		}
-		var fOn, fOff Feaser
-		fOff.DisableKernels = true
-		feasOn, okOn := fOn.FeasibleGE(n, ws, ts)
-		feasOff, okOff := fOff.FeasibleGE(n, ws, ts)
-		if feasOn != feasOff || okOn != okOff {
-			t.Fatalf("trial %d: feaser on=(%v,%v) off=(%v,%v)", trial, feasOn, okOn, feasOff, okOff)
-		}
-		if fOn.Counters.Pivots != fOff.Counters.Pivots {
-			t.Fatalf("trial %d: feaser pivots on=%d off=%d", trial,
-				fOn.Counters.Pivots, fOff.Counters.Pivots)
-		}
+		gotFTab := append([]float64(nil), tab...)
+		gotZ := append([]float64(nil), z...)
+		eliminate(gotFTab, width, m, row, col)
+		eliminateAux(gotZ, gotFTab[row*width:(row+1)*width], col)
+		tabEqualBits(t, "feaser pivot tab", gotFTab, wantFTab)
+		tabEqualBits(t, "feaser pivot z", gotZ, wantZ)
 	}
 }
 
 // FuzzKernelPivotParity differentially fuzzes the shared elimination
-// (kernels on and off) against the verbatim historical loops over
-// arbitrary float bit patterns.
+// against the verbatim historical loops over arbitrary float bit
+// patterns.
 func FuzzKernelPivotParity(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x03}, uint8(3), uint8(5), uint8(1), uint8(2))
 	f.Add([]byte{0xff, 0x00, 0x80}, uint8(2), uint8(9), uint8(0), uint8(8))
@@ -230,13 +160,11 @@ func FuzzKernelPivotParity(f *testing.F) {
 		wantTab := append([]float64(nil), tab...)
 		wantZ := append([]float64(nil), z...)
 		oldFeaserPivot(wantTab, wantZ, width, m, row, col)
-		for _, scalar := range []bool{false, true} {
-			gotTab := append([]float64(nil), tab...)
-			gotZ := append([]float64(nil), z...)
-			eliminate(gotTab, width, m, row, col, scalar)
-			eliminateAux(gotZ, gotTab[row*width:(row+1)*width], col, scalar)
-			tabEqualBits(t, "tab", gotTab, wantTab)
-			tabEqualBits(t, "z", gotZ, wantZ)
-		}
+		gotTab := append([]float64(nil), tab...)
+		gotZ := append([]float64(nil), z...)
+		eliminate(gotTab, width, m, row, col)
+		eliminateAux(gotZ, gotTab[row*width:(row+1)*width], col)
+		tabEqualBits(t, "tab", gotTab, wantTab)
+		tabEqualBits(t, "z", gotZ, wantZ)
 	})
 }

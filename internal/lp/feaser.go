@@ -44,12 +44,6 @@ type Feaser struct {
 	// callers take deltas around call sites they want to attribute.
 	Counters Counters
 
-	// DisableKernels routes every pivot elimination through the
-	// historical scalar loops instead of internal/kern's blocked row
-	// kernels; bit-identical either way (see elim.go), so it changes
-	// wall time and nothing else.
-	DisableKernels bool
-
 	n, m, width int
 	keys        []Key  // caller's row keys for the last solve (aliased; may be nil)
 	live        bool   // tab/z/basis hold a materialized, consistent state
@@ -347,8 +341,8 @@ func growFloats(buf *[]float64, want int) []float64 {
 }
 
 func (f *Feaser) pivot(n, width, row, col int) {
-	eliminate(f.tab, width, n, row, col, f.DisableKernels)
+	eliminate(f.tab, width, n, row, col)
 	pr := f.tab[row*width : (row+1)*width]
-	eliminateAux(f.z, pr, col, f.DisableKernels)
+	eliminateAux(f.z, pr, col)
 	f.basis[row] = col
 }

@@ -130,14 +130,6 @@ type Workspace struct {
 	// callers take deltas around call sites they want to attribute.
 	Counters Counters
 
-	// DisableKernels routes every pivot elimination through the
-	// historical scalar loops instead of internal/kern's blocked row
-	// kernels. The two are bit-identical (see elim.go), so the switch
-	// changes wall time and nothing else — no result, no counter, no
-	// pivot sequence; it exists for benchmarking and the differential
-	// property tests.
-	DisableKernels bool
-
 	// canPrimal: the basis is primal-feasible for the loaded program, so
 	// ResolveObjective may re-enter it with a new objective. canDual: the
 	// reduced-cost row is dual-feasible for the loaded objective, so
@@ -407,7 +399,7 @@ func (w *Workspace) ReSolveRHS(b []float64) (Result, bool) {
 			w.degIter = 0
 		}
 		w.pivot(row, col)
-		eliminateAux(w.z, w.tab[row*w.nCols:(row+1)*w.nCols], col, w.DisableKernels)
+		eliminateAux(w.z, w.tab[row*w.nCols:(row+1)*w.nCols], col)
 	}
 	w.canPrimal = false
 	w.canDual = false
@@ -620,7 +612,7 @@ func (w *Workspace) iterate(z []float64, limit int) bool {
 		}
 		w.pivot(row, col)
 		// Update the reduced-cost row with the same elimination.
-		eliminateAux(z, w.tab[row*w.nCols:(row+1)*w.nCols], col, w.DisableKernels)
+		eliminateAux(z, w.tab[row*w.nCols:(row+1)*w.nCols], col)
 	}
 	// Hitting the iteration cap on these tiny programs indicates numerical
 	// trouble; report the safest answer for each phase. Phase 1 treats it as
@@ -673,6 +665,6 @@ func (w *Workspace) ratioTest(col int) int {
 // basis, via the shared elimination kernel (see elim.go).
 func (w *Workspace) pivot(row, col int) {
 	w.Counters.Pivots++
-	eliminate(w.tab, w.nCols, w.m, row, col, w.DisableKernels)
+	eliminate(w.tab, w.nCols, w.m, row, col)
 	w.basis[row] = col
 }

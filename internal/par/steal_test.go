@@ -159,18 +159,25 @@ func TestFrontierStealHalfPreservesHeap(t *testing.T) {
 
 // TestFrontierStealStarvedWorkers seeds only worker 0's queue (via a
 // single seed) with a task that fans out; with many workers the only way
-// the others get work is stealing.
+// the others get work is stealing. The children block until the seed
+// has pushed all of them, so no stolen child can complete while the
+// seed is still pushing: pending then deterministically peaks at
+// fanout+1 (every child queued or running, plus the seed itself).
 func TestFrontierStealStarvedWorkers(t *testing.T) {
 	workers := 4
 	var executed atomic.Int64
 	const fanout = 64
+	pushed := make(chan struct{})
 	st := RunFrontier(workers, []int{0}, []float64{0}, func(fw *FrontierWorker[int], v int) {
 		executed.Add(1)
-		if v == 0 {
-			for i := 1; i <= fanout; i++ {
-				fw.Push(i, float64(i))
-			}
+		if v != 0 {
+			<-pushed
+			return
 		}
+		for i := 1; i <= fanout; i++ {
+			fw.Push(i, float64(i))
+		}
+		close(pushed)
 	})
 	if got := executed.Load(); got != fanout+1 {
 		t.Fatalf("executed %d tasks, want %d", got, fanout+1)

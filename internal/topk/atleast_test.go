@@ -34,12 +34,9 @@ func randWeight(rng *rand.Rand, d int) geom.Vector {
 }
 
 // naiveAtLeast is the reference predicate set, in ascending id order.
-func naiveAtLeast(ps []geom.Vector, alive []bool, w geom.Vector, t float64) []int {
+func naiveAtLeast(ps []geom.Vector, w geom.Vector, t float64) []int {
 	var out []int
 	for i, p := range ps {
-		if alive != nil && !alive[i] {
-			continue
-		}
 		if w.Dot(p) >= t {
 			out = append(out, i)
 		}
@@ -61,7 +58,7 @@ func TestAtLeastMatchesScan(t *testing.T) {
 				for _, t0 := range th {
 					got := append([]int(nil), s.AtLeast(w, t0, nil)...)
 					sort.Ints(got)
-					want := naiveAtLeast(ps, nil, w, t0)
+					want := naiveAtLeast(ps, w, t0)
 					if len(got) != len(want) {
 						t.Fatalf("n=%d d=%d t=%g: got %d ids, want %d", n, d, t0, len(got), len(want))
 					}
@@ -84,60 +81,13 @@ func TestAtLeastNegativeWeights(t *testing.T) {
 	w := geom.Vector{0.5, -0.3, 0.8}
 	got := s.AtLeast(w, 0.1, nil)
 	sort.Ints(got)
-	want := naiveAtLeast(ps, nil, w, 0.1)
+	want := naiveAtLeast(ps, w, 0.1)
 	if len(got) != len(want) {
 		t.Fatalf("negative weights: got %d ids, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("negative weights: id[%d]=%d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestAtLeastAfterPatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	ps := randProducts(rng, 600, 3)
-	ix := NewIndex(ps)
-	alive := make([]bool, len(ps))
-	for i := range alive {
-		alive[i] = true
-	}
-	// Interleave removals and insertions, checking the scan after each.
-	s := NewSearcher(ix)
-	for step := 0; step < 30; step++ {
-		if step%3 == 2 {
-			v := make(geom.Vector, 3)
-			for j := range v {
-				v[j] = rng.Float64()
-			}
-			id := ix.Insert(v)
-			ps = append(ps, v)
-			alive = append(alive, true)
-			if id != len(ps)-1 {
-				t.Fatalf("insert id %d, want %d", id, len(ps)-1)
-			}
-		} else {
-			for {
-				id := rng.Intn(len(ps))
-				if alive[id] {
-					ix.Remove(id)
-					alive[id] = false
-					break
-				}
-			}
-		}
-		w := randWeight(rng, 3)
-		got := append([]int(nil), s.AtLeast(w, 0.45, nil)...)
-		sort.Ints(got)
-		want := naiveAtLeast(ps, alive, w, 0.45)
-		if len(got) != len(want) {
-			t.Fatalf("step %d: got %d ids, want %d", step, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("step %d: id[%d]=%d, want %d", step, i, got[i], want[i])
-			}
 		}
 	}
 }

@@ -43,15 +43,6 @@ import (
 // results are byte-identical to the naive full-scan selection. (Stopping
 // on a tie would not be: an equal-bound block can hide an equal-score
 // product with a smaller id.)
-//
-// Dynamics. Product arrival appends a row and patches it into the first
-// layer none of whose members dominate it; departure swap-removes the
-// row from its layer. Both repair the affected layer's block maxima in
-// place. Patching degrades the sort invariants (layers stay a correct
-// partition and blocks keep true maxima, which is all correctness needs,
-// but block coherence — hence bound tightness — decays), so after enough
-// patches the index re-peels from scratch; the Patches and Rebuilds
-// counters expose that lifecycle.
 
 // blockRows and superRows are the two bound granularities of the index.
 // Blocks (the scan unit) are kept small so their maxima hug their rows;
@@ -77,16 +68,6 @@ const DefaultMaxLayers = 8
 // kd box, so the whole answer comes out of a handful of blocks.
 const layerBandRows = 2 * superRows
 
-// indexRebuildMinPatches and indexRebuildFrac set the re-peel policy: a
-// rebuild triggers once more than indexRebuildMinPatches patches have
-// accumulated AND the patch count exceeds indexRebuildFrac of the live
-// product count. Patches keep the index exactly correct either way; the
-// rebuild only restores the sort invariants that make the bounds tight.
-const (
-	indexRebuildMinPatches = 64
-	indexRebuildFrac       = 0.25
-)
-
 // indexLayer is one dominance layer: packed member rows plus per-block
 // and per-superblock componentwise maxima.
 type indexLayer struct {
@@ -107,39 +88,18 @@ type indexLayer struct {
 
 func (ly *indexLayer) rows() int { return len(ly.ids) }
 
-// Index is the layered all-top-k product index. It is immutable under
-// queries — any number of goroutines may search concurrently — while
-// Insert, Remove, and Rebuild require external synchronization (the
-// engine mutates it only from the single-threaded dynamic path).
+// Index is the layered all-top-k product index. It is immutable once
+// built, so any number of goroutines may search it concurrently.
 type Index struct {
-	dim    int
-	nAlive int
+	dim int
+	n   int // product count
 
-	// scalar routes every batched scoring and bound-maintenance call
-	// through the historical scalar loops (geom's *Scalar twins) instead
-	// of the blocked kernels. The two are bit-identical, so the flag —
-	// core.Options.DisableKernels threaded per instance — changes wall
-	// time and nothing else: scores, selections, and every SearchStats
-	// counter are byte-identical either way.
-	scalar bool
-
-	// rowData is the append-only master matrix of every product ever
-	// added (dead rows included); row id i lives at rows [i*dim, (i+1)*dim).
-	// Layers hold packed copies; the master is the rebuild source.
+	// rowData is the row-major product matrix the peel reads; row id i
+	// lives at [i*dim, (i+1)*dim). Layers hold packed copies.
 	rowData []float64
-	alive   []bool
 
-	layers []*indexLayer
-	// rowLayer/rowPos locate a live product id inside the layer set
-	// (-1 when dead).
-	rowLayer []int32
-	rowPos   []int32
-
+	layers    []*indexLayer
 	maxLayers int
-	patches   int64
-	rebuilds  int64
-	// patchesSinceRebuild drives the re-peel policy.
-	patchesSinceRebuild int
 }
 
 // NewIndex builds the layered index over the product set with the
@@ -158,43 +118,23 @@ func NewIndexLayers(products []geom.Vector, maxLayers int) *Index {
 	if len(products) > 0 {
 		d = len(products[0])
 	}
-	ix := &Index{dim: d, maxLayers: maxLayers}
+	ix := &Index{dim: d, n: len(products), maxLayers: maxLayers}
 	ix.rowData = make([]float64, 0, len(products)*d)
-	ix.alive = make([]bool, 0, len(products))
 	for i, p := range products {
 		if len(p) != d {
 			panic(fmt.Sprintf("topk: index product %d has %d attributes, want %d", i, len(p), d))
 		}
 		ix.rowData = append(ix.rowData, p...)
-		ix.alive = append(ix.alive, true)
 	}
-	ix.nAlive = len(products)
 	ix.build()
 	return ix
-}
-
-// SetKernels selects the scoring path: on (the default) uses the
-// blocked kernels, off the historical scalar loops. Bit-identical
-// either way — bounds built before the switch flips remain exact — so
-// the call may happen any time, though the engine sets it once at
-// construction.
-func (ix *Index) SetKernels(on bool) { ix.scalar = !on }
-
-// dotRows scores rows of flat against w on the instance's selected
-// kernel path.
-func (ix *Index) dotRows(flat []float64, d int, w geom.Vector, out []float64) {
-	if ix.scalar {
-		geom.DotRowsScalar(flat, d, w, out)
-	} else {
-		geom.DotRows(flat, d, w, out)
-	}
 }
 
 // Dim returns the attribute dimensionality.
 func (ix *Index) Dim() int { return ix.dim }
 
-// Len returns the number of live products.
-func (ix *Index) Len() int { return ix.nAlive }
+// Len returns the number of indexed products.
+func (ix *Index) Len() int { return ix.n }
 
 // NumLayers returns the current layer count (tail layer included).
 func (ix *Index) NumLayers() int { return len(ix.layers) }
@@ -208,34 +148,22 @@ func (ix *Index) LayerSizes() []int {
 	return out
 }
 
-// Patches returns the cumulative count of incremental layer patches
-// (product arrivals + departures applied without a re-peel).
-func (ix *Index) Patches() int64 { return ix.patches }
-
-// Rebuilds returns the cumulative count of full re-peels triggered by
-// the patch policy (the initial build is not counted).
-func (ix *Index) Rebuilds() int64 { return ix.rebuilds }
-
 // row returns the master-matrix row of product id as a Vector view.
 func (ix *Index) row(id int) geom.Vector {
 	return geom.Vector(ix.rowData[id*ix.dim : (id+1)*ix.dim : (id+1)*ix.dim])
 }
 
-// build peels the live rows into dominance layers and rebuilds every
-// bound structure. The peel scans candidates in (attribute-sum
-// descending, id ascending) order — the same order Skyband uses — so a
-// candidate's dominators always precede it and the per-round skyline
-// falls out of a sort-filter pass.
+// build peels the rows into dominance layers and builds every bound
+// structure. The peel scans candidates in (attribute-sum descending, id
+// ascending) order — the same order Skyband uses — so a candidate's
+// dominators always precede it and the per-round skyline falls out of a
+// sort-filter pass.
 func (ix *Index) build() {
 	d := ix.dim
-	remaining := make([]int, 0, ix.nAlive)
-	for id, ok := range ix.alive {
-		if ok {
-			remaining = append(remaining, id)
-		}
-	}
-	sums := make([]float64, len(ix.alive))
-	for _, id := range remaining {
+	remaining := make([]int, ix.n)
+	sums := make([]float64, ix.n)
+	for id := range remaining {
+		remaining[id] = id
 		sums[id] = ix.row(id).Sum()
 	}
 	sort.Slice(remaining, func(a, b int) bool {
@@ -245,10 +173,8 @@ func (ix *Index) build() {
 		return remaining[a] < remaining[b]
 	})
 
-	ix.layers = ix.layers[:0]
 	next := make([]int, 0, len(remaining))
 	var layerIDs, band []int
-	band = band[:0]
 	for len(remaining) > 0 {
 		if len(ix.layers) == ix.maxLayers-1 {
 			// Peel cap reached: everything left joins the tail layer.
@@ -290,7 +216,6 @@ func (ix *Index) build() {
 	if len(band) > 0 {
 		ix.pushLayer(band)
 	}
-	ix.rebuildRowMaps()
 }
 
 // pushLayer appends a layer holding the given product ids, reordered so
@@ -312,7 +237,7 @@ func (ix *Index) pushLayer(ids []int) {
 	for i, id := range ly.ids {
 		copy(ly.flat[i*d:(i+1)*d], ix.row(id))
 	}
-	ly.recomputeBounds(d, ix.scalar)
+	ly.computeBounds(d)
 	ix.layers = append(ix.layers, ly)
 }
 
@@ -365,28 +290,19 @@ func (ix *Index) kdOrder(ids []int) {
 	ix.kdOrder(ids[mid:])
 }
 
-// recomputeBounds rebuilds the layer's per-block and per-superblock
-// maxima from its rows.
-func (ly *indexLayer) recomputeBounds(d int, scalar bool) {
-	rowMax := geom.RowMax
-	if scalar {
-		rowMax = geom.RowMaxScalar
-	}
+// computeBounds builds the layer's per-block and per-superblock maxima
+// from its rows (a layer always holds at least one row).
+func (ly *indexLayer) computeBounds(d int) {
 	n := ly.rows()
-	if n == 0 {
-		ly.blockMax, ly.superMax = nil, nil
-		ly.blockFlat, ly.superFlat = nil, nil
-		return
-	}
 	nb := (n + blockRows - 1) / blockRows
 	ns := (n + superRows - 1) / superRows
 	// One backing slab keeps the per-layer allocation count flat — and
 	// doubles as the contiguous bound matrices the batched queries score
 	// (blockFlat, then superFlat).
 	slab := make([]float64, (nb+ns)*d)
-	ly.blockFlat = slab[:nb*d:nb*d]
+	ly.blockFlat = slab[: nb*d : nb*d]
 	ly.superFlat = slab[nb*d:]
-	ly.blockMax = ly.blockMax[:0]
+	ly.blockMax = make([][]float64, 0, nb)
 	for b := 0; b < nb; b++ {
 		lo, hi := b*blockRows, (b+1)*blockRows
 		if hi > n {
@@ -394,10 +310,10 @@ func (ly *indexLayer) recomputeBounds(d int, scalar bool) {
 		}
 		bm := slab[b*d : (b+1)*d : (b+1)*d]
 		copy(bm, ly.flat[lo*d:lo*d+d])
-		rowMax(ly.flat[(lo+1)*d:hi*d], d, bm)
+		geom.RowMax(ly.flat[(lo+1)*d:hi*d], d, bm)
 		ly.blockMax = append(ly.blockMax, bm)
 	}
-	ly.superMax = ly.superMax[:0]
+	ly.superMax = make([][]float64, 0, ns)
 	for sb := 0; sb < ns; sb++ {
 		lo, hi := sb*superRows, (sb+1)*superRows
 		if hi > n {
@@ -405,138 +321,9 @@ func (ly *indexLayer) recomputeBounds(d int, scalar bool) {
 		}
 		sm := slab[(nb+sb)*d : (nb+sb+1)*d : (nb+sb+1)*d]
 		copy(sm, ly.flat[lo*d:lo*d+d])
-		rowMax(ly.flat[(lo+1)*d:hi*d], d, sm)
+		geom.RowMax(ly.flat[(lo+1)*d:hi*d], d, sm)
 		ly.superMax = append(ly.superMax, sm)
 	}
-}
-
-// rebuildRowMaps recomputes the id -> (layer, position) locators.
-func (ix *Index) rebuildRowMaps() {
-	if cap(ix.rowLayer) < len(ix.alive) {
-		ix.rowLayer = make([]int32, len(ix.alive))
-		ix.rowPos = make([]int32, len(ix.alive))
-	}
-	ix.rowLayer = ix.rowLayer[:len(ix.alive)]
-	ix.rowPos = ix.rowPos[:len(ix.alive)]
-	for i := range ix.rowLayer {
-		ix.rowLayer[i], ix.rowPos[i] = -1, -1
-	}
-	for l, ly := range ix.layers {
-		for p, id := range ly.ids {
-			ix.rowLayer[id] = int32(l)
-			ix.rowPos[id] = int32(p)
-		}
-	}
-}
-
-// Insert adds a product to the index and returns its id (the next
-// global row index, matching the append position of the engine's
-// product slice). The new row is patched into the first layer none of
-// whose members dominate it; the affected bounds are repaired in place.
-func (ix *Index) Insert(p geom.Vector) int {
-	if len(p) != ix.dim {
-		panic(fmt.Sprintf("topk: index insert of %d-dim product, want %d", len(p), ix.dim))
-	}
-	id := len(ix.alive)
-	ix.rowData = append(ix.rowData, p...)
-	ix.alive = append(ix.alive, true)
-	ix.rowLayer = append(ix.rowLayer, -1)
-	ix.rowPos = append(ix.rowPos, -1)
-	ix.nAlive++
-	ix.patches++
-	ix.patchesSinceRebuild++
-	if ix.maybeRebuild() {
-		return id
-	}
-
-	target := len(ix.layers) - 1
-	row := ix.row(id)
-	for l, ly := range ix.layers {
-		if l == len(ix.layers)-1 {
-			target = l // tail layer accepts everything
-			break
-		}
-		dominated := false
-		for i := 0; i < ly.rows(); i++ {
-			q := geom.Vector(ly.flat[i*ix.dim : (i+1)*ix.dim])
-			if q.Dominates(row) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			target = l
-			break
-		}
-	}
-	if len(ix.layers) == 0 {
-		ix.pushLayer([]int{id})
-		ix.rowLayer[id], ix.rowPos[id] = 0, 0
-		return id
-	}
-	ly := ix.layers[target]
-	ix.rowLayer[id], ix.rowPos[id] = int32(target), int32(ly.rows())
-	ly.flat = append(ly.flat, row...)
-	ly.ids = append(ly.ids, id)
-	ix.repairLayer(target)
-	return id
-}
-
-// Remove deletes the product with the given id from the index (the id
-// stays burned: future inserts never reuse it).
-func (ix *Index) Remove(id int) {
-	if id < 0 || id >= len(ix.alive) || !ix.alive[id] {
-		panic(fmt.Sprintf("topk: index remove of absent product %d", id))
-	}
-	ix.alive[id] = false
-	ix.nAlive--
-	ix.patches++
-	ix.patchesSinceRebuild++
-	if ix.maybeRebuild() {
-		return
-	}
-	l, pos := int(ix.rowLayer[id]), int(ix.rowPos[id])
-	ix.rowLayer[id], ix.rowPos[id] = -1, -1
-	ly := ix.layers[l]
-	d := ix.dim
-	last := ly.rows() - 1
-	if pos != last {
-		copy(ly.flat[pos*d:(pos+1)*d], ly.flat[last*d:(last+1)*d])
-		moved := ly.ids[last]
-		ly.ids[pos] = moved
-		ix.rowPos[moved] = int32(pos)
-	}
-	ly.flat = ly.flat[:last*d]
-	ly.ids = ly.ids[:last]
-	ix.repairLayer(l)
-}
-
-// repairLayer recomputes layer l's block maxima after a row landed in or
-// left it. The recompute is O(rows·d); maxima cannot be shrunk
-// incrementally anyway (a removed row may have defined the max), and the
-// simple full recompute keeps the patch logic obviously correct.
-func (ix *Index) repairLayer(l int) {
-	ix.layers[l].recomputeBounds(ix.dim, ix.scalar)
-}
-
-// maybeRebuild applies the re-peel policy; reports whether it rebuilt.
-func (ix *Index) maybeRebuild() bool {
-	if ix.patchesSinceRebuild <= indexRebuildMinPatches {
-		return false
-	}
-	if float64(ix.patchesSinceRebuild) <= indexRebuildFrac*float64(ix.nAlive) {
-		return false
-	}
-	ix.Rebuild()
-	return true
-}
-
-// Rebuild re-peels the index from the live rows, restoring the sort
-// invariants the bounds are tightest under.
-func (ix *Index) Rebuild() {
-	ix.rebuilds++
-	ix.patchesSinceRebuild = 0
-	ix.build()
 }
 
 // SearchStats aggregates the search-effort counters of indexed top-k
@@ -623,9 +410,9 @@ func heapWorse(sa float64, ia int, sb float64, ib int) bool {
 }
 
 // Kth returns the top-k-th product (global id and score) for weight w,
-// byte-identical to KthScore over the live product set: same ranking,
-// same tie-break, same float scores. It panics if k < 1 or k exceeds
-// the live product count.
+// byte-identical to KthScore over the product set: same ranking, same
+// tie-break, same float scores. It panics if k < 1 or k exceeds the
+// product count.
 func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 	ix := s.ix
 	if len(w) != ix.dim {
@@ -634,8 +421,8 @@ func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 	if k < 1 {
 		panic(fmt.Sprintf("topk: user k=%d < 1", k))
 	}
-	if k > ix.nAlive {
-		panic(fmt.Sprintf("topk: k=%d exceeds |P|=%d", k, ix.nAlive))
+	if k > ix.n {
+		panic(fmt.Sprintf("topk: k=%d exceeds |P|=%d", k, ix.n))
 	}
 	// The bounds assume non-negative weights (w · maxima dominates every
 	// w · row only then). Preference vectors live on the unit simplex so
@@ -681,7 +468,7 @@ func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 		// One batched dot over the layer's contiguous superblock maxima:
 		// bit-identical to w.Dot per row, dispatched once per matrix.
 		bounds := s.growBounds(ns)
-		ix.dotRows(ly.superFlat, ix.dim, w, bounds)
+		geom.DotRows(ly.superFlat, ix.dim, w, bounds)
 		for sb, bd := range bounds {
 			s.queue = append(s.queue, granuleRef{
 				bound: bd,
@@ -715,7 +502,7 @@ func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 			hi = nb
 		}
 		bb := s.bBounds[:hi-lo]
-		ix.dotRows(ly.blockFlat[lo*ix.dim:hi*ix.dim], ix.dim, w, bb)
+		geom.DotRows(ly.blockFlat[lo*ix.dim:hi*ix.dim], ix.dim, w, bb)
 		for i, bd := range bb {
 			s.queuePush(granuleRef{
 				bound: bd,
@@ -772,7 +559,7 @@ func (s *Searcher) scanBlock(ly *indexLayer, b int, w geom.Vector, k int, full b
 	}
 	rows := hi - lo
 	out := s.scores[:rows]
-	s.ix.dotRows(ly.flat[lo*d:hi*d], d, w, out)
+	geom.DotRows(ly.flat[lo*d:hi*d], d, w, out)
 	s.Stats.ScannedProducts += int64(rows)
 	for i, sc := range out {
 		id := ly.ids[lo+i]
@@ -786,7 +573,7 @@ func (s *Searcher) scanBlock(ly *indexLayer, b int, w geom.Vector, k int, full b
 	return full
 }
 
-// AtLeast appends to dst the ids of every live product whose score w·p
+// AtLeast appends to dst the ids of every product whose score w·p
 // reaches at least t and returns the extended slice — the threshold scan
 // behind reverse-influence queries (a product covers a user exactly when
 // it scores at least the user's top-k entry threshold). Whole blocks are
@@ -821,7 +608,7 @@ func (s *Searcher) AtLeast(w geom.Vector, t float64, dst []int) []int {
 			// (and hence the same prune/scan decisions and counters) as the
 			// per-granule dots, one matrix dispatch per batch.
 			sBounds = s.growBounds(ns)
-			ix.dotRows(ly.superFlat, d, w, sBounds)
+			geom.DotRows(ly.superFlat, d, w, sBounds)
 		}
 		for sb := 0; sb < ns; sb++ {
 			lo := sb * (superRows / blockRows)
@@ -836,7 +623,7 @@ func (s *Searcher) AtLeast(w geom.Vector, t float64, dst []int) []int {
 			var bBounds []float64
 			if canPrune {
 				bBounds = s.bBounds[:hi-lo]
-				ix.dotRows(ly.blockFlat[lo*d:hi*d], d, w, bBounds)
+				geom.DotRows(ly.blockFlat[lo*d:hi*d], d, w, bBounds)
 			}
 			for b := lo; b < hi; b++ {
 				if canPrune && bBounds[b-lo] < t {
@@ -848,7 +635,7 @@ func (s *Searcher) AtLeast(w geom.Vector, t float64, dst []int) []int {
 					rhi = n
 				}
 				out := s.scores[:rhi-rlo]
-				s.ix.dotRows(ly.flat[rlo*d:rhi*d], d, w, out)
+				geom.DotRows(ly.flat[rlo*d:rhi*d], d, w, out)
 				s.Stats.ScannedProducts += int64(rhi - rlo)
 				for i, sc := range out {
 					if sc >= t {
@@ -935,8 +722,8 @@ func (ix *Index) AllTopKWorkers(users []UserPref, workers int) ([]KthResult, Sea
 			panic(fmt.Sprintf("topk: user k=%d < 1", u.K))
 		}
 	}
-	if kmax > ix.nAlive {
-		panic(fmt.Sprintf("topk: max k=%d exceeds |P|=%d", kmax, ix.nAlive))
+	if kmax > ix.n {
+		panic(fmt.Sprintf("topk: max k=%d exceeds |P|=%d", kmax, ix.n))
 	}
 	out := make([]KthResult, len(users))
 	nw := par.Resolve(workers)

@@ -157,131 +157,6 @@ func TestSearcherKthZeroAndNegativeWeights(t *testing.T) {
 	}
 }
 
-// liveRef answers the reference top-k-th over the live rows of a mutated
-// index: a naive full scan over the live products in ascending global-id
-// order (position tie-break there = global-id tie-break).
-func liveRef(ix *Index, alive map[int]geom.Vector, w geom.Vector, k int) KthResult {
-	ids := make([]int, 0, len(alive))
-	for id := range alive {
-		ids = append(ids, id)
-	}
-	// Insertion order is map-random; sort ascending for the tie-break.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	ps := make([]geom.Vector, len(ids))
-	for i, id := range ids {
-		ps[i] = alive[id]
-	}
-	r := KthScore(ps, w, k)
-	return KthResult{Index: ids[r.Index], Score: r.Score}
-}
-
-// TestIndexPatchVsRebuild drives the index through a random product
-// arrival/departure sequence and, at every step, checks three-way
-// equivalence: the patched index, a rebuilt-from-scratch index, and the
-// naive full scan over the live set all return identical results.
-func TestIndexPatchVsRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(113))
-	d := 3
-	ps := randomProducts(rng, 120, d)
-	ix := NewIndexLayers(ps, 4) // small cap: the tail layer sees patches too
-	alive := map[int]geom.Vector{}
-	for id, p := range ps {
-		alive[id] = p
-	}
-	liveIDs := make([]int, 0, 256)
-	for id := range alive {
-		liveIDs = append(liveIDs, id)
-	}
-	check := func(step string) {
-		t.Helper()
-		s := NewSearcher(ix)
-		for q := 0; q < 8; q++ {
-			w := randomWeight(rng, d)
-			k := 1 + rng.Intn(ix.Len())
-			sameKth(t, step+"/patched", s.Kth(w, k), liveRef(ix, alive, w, k))
-		}
-	}
-	check("initial")
-	for step := 0; step < 150; step++ {
-		if rng.Intn(2) == 0 || len(alive) < 10 {
-			p := make(geom.Vector, d)
-			for j := range p {
-				p[j] = rng.Float64()
-			}
-			id := ix.Insert(p)
-			if _, used := alive[id]; used {
-				t.Fatalf("step %d: Insert reused live id %d", step, id)
-			}
-			alive[id] = p
-			liveIDs = append(liveIDs, id)
-		} else {
-			victim := liveIDs[rng.Intn(len(liveIDs))]
-			for _, ok := alive[victim]; !ok; _, ok = alive[victim] {
-				victim = liveIDs[rng.Intn(len(liveIDs))]
-			}
-			ix.Remove(victim)
-			delete(alive, victim)
-		}
-		if ix.Len() != len(alive) {
-			t.Fatalf("step %d: index Len=%d, oracle has %d live", step, ix.Len(), len(alive))
-		}
-		check("churn")
-	}
-	patchedLayers := ix.LayerSizes()
-	ix.Rebuild()
-	check("rebuilt")
-	// A rebuild restores the peel: layer row totals must still cover every
-	// live product exactly once.
-	total := 0
-	for _, n := range ix.LayerSizes() {
-		total += n
-	}
-	if total != len(alive) {
-		t.Fatalf("rebuilt layers hold %d rows, want %d (patched layout was %v)",
-			total, len(alive), patchedLayers)
-	}
-	if ix.Patches() == 0 {
-		t.Error("churn produced no patch counts")
-	}
-}
-
-// TestIndexRebuildPolicy checks the re-peel trigger: enough patches on a
-// small live set must cross both policy thresholds and bump Rebuilds,
-// while a huge live set absorbs the same patch count without rebuilding.
-func TestIndexRebuildPolicy(t *testing.T) {
-	rng := rand.New(rand.NewSource(127))
-	small := NewIndex(randomProducts(rng, 100, 3))
-	for i := 0; i < 80; i++ {
-		p := make(geom.Vector, 3)
-		for j := range p {
-			p[j] = rng.Float64()
-		}
-		small.Insert(p)
-	}
-	if small.Rebuilds() == 0 {
-		t.Errorf("80 patches on 100 live products triggered no rebuild (patches=%d)", small.Patches())
-	}
-
-	big := NewIndex(randomProducts(rng, 2000, 3))
-	for i := 0; i < 80; i++ {
-		p := make(geom.Vector, 3)
-		for j := range p {
-			p[j] = rng.Float64()
-		}
-		big.Insert(p)
-	}
-	if big.Rebuilds() != 0 {
-		t.Errorf("80 patches on 2000 live products rebuilt %d times — policy too eager", big.Rebuilds())
-	}
-	if big.Patches() != 80 {
-		t.Errorf("Patches = %d, want 80", big.Patches())
-	}
-}
-
 // TestIndexPruningEffective asserts the perf property the index exists
 // for, on a fixed seed: answering top-10 queries scans far fewer products
 // than the naive skyband scan (|10-skyband| rows per user), and whole
@@ -363,10 +238,6 @@ func TestIndexPanics(t *testing.T) {
 	expectPanic(t, "k=0", func() { s.Kth(geom.Vector{1, 0}, 0) })
 	expectPanic(t, "k>|P|", func() { s.Kth(geom.Vector{1, 0}, 2) })
 	expectPanic(t, "query dim", func() { s.Kth(geom.Vector{1}, 1) })
-	expectPanic(t, "insert dim", func() { ix.Insert(geom.Vector{1, 2, 3}) })
-	expectPanic(t, "remove absent", func() { ix.Remove(7) })
-	ix.Remove(0)
-	expectPanic(t, "double remove", func() { ix.Remove(0) })
 }
 
 func expectPanic(t *testing.T, name string, f func()) {

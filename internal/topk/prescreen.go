@@ -44,25 +44,12 @@ type HalfspaceBands struct {
 	wMin, wMax []float64
 	tMin, tMax []float64
 	nonneg     []bool
-
-	// scalar routes band construction and per-row refinement through the
-	// historical scalar loops (geom's *Scalar twins); bit-identical to
-	// the blocked kernels, so it changes wall time and nothing else.
-	scalar bool
 }
 
 // NewHalfspaceBands builds the blocked bounds over n = len(t) halfspaces
 // whose normals are the rows of flat (row-major, d columns). flat is
 // retained, not copied; callers must not mutate it afterwards.
 func NewHalfspaceBands(flat []float64, d int, t []float64) *HalfspaceBands {
-	return NewHalfspaceBandsKernels(flat, d, t, true)
-}
-
-// NewHalfspaceBandsKernels is NewHalfspaceBands with an explicit kernel
-// selection: kernels=false routes the extrema and scoring loops through
-// the historical scalar paths (core.Options.DisableKernels). The bands,
-// and every Prescreen answer, are bit-identical either way.
-func NewHalfspaceBandsKernels(flat []float64, d int, t []float64, kernels bool) *HalfspaceBands {
 	n := len(t)
 	if len(flat) != n*d {
 		panic(fmt.Sprintf("topk: HalfspaceBands matrix has %d values, want %d (n=%d d=%d)", len(flat), n*d, n, d))
@@ -75,11 +62,6 @@ func NewHalfspaceBandsKernels(flat []float64, d int, t []float64, kernels bool) 
 		tMin:   make([]float64, blocks),
 		tMax:   make([]float64, blocks),
 		nonneg: make([]bool, blocks),
-		scalar: !kernels,
-	}
-	rowMin, rowMax := geom.RowMin, geom.RowMax
-	if b.scalar {
-		rowMin, rowMax = geom.RowMinScalar, geom.RowMaxScalar
 	}
 	for bi := 0; bi < blocks; bi++ {
 		lo, hi := bi*prescreenBlockRows, (bi+1)*prescreenBlockRows
@@ -93,8 +75,8 @@ func NewHalfspaceBandsKernels(flat []float64, d int, t []float64, kernels bool) 
 			wMax[j] = math.Inf(-1)
 		}
 		rows := flat[lo*d : hi*d]
-		rowMin(rows, d, wMin)
-		rowMax(rows, d, wMax)
+		geom.RowMin(rows, d, wMin)
+		geom.RowMax(rows, d, wMax)
 		b.nonneg[bi] = true
 		for j := 0; j < d; j++ {
 			if wMin[j] < 0 {
@@ -191,12 +173,8 @@ func (b *HalfspaceBands) Prescreen(lo, hi geom.Vector, out []geom.Relation) Pres
 		// per-row sign split of the MBB fast test.
 		rows := rhi - rlo
 		if b.nonneg[bi] {
-			dotRows := geom.DotRows
-			if b.scalar {
-				dotRows = geom.DotRowsScalar
-			}
-			dotRows(b.flat[rlo*b.d:], b.d, lo, rowLo[:rows])
-			dotRows(b.flat[rlo*b.d:], b.d, hi, rowHi[:rows])
+			geom.DotRows(b.flat[rlo*b.d:], b.d, lo, rowLo[:rows])
+			geom.DotRows(b.flat[rlo*b.d:], b.d, hi, rowHi[:rows])
 		} else {
 			for i := 0; i < rows; i++ {
 				row := b.flat[(rlo+i)*b.d : (rlo+i+1)*b.d]

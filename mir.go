@@ -56,8 +56,8 @@ type User struct {
 }
 
 // Options tunes the algorithms. The zero value enables every optimization
-// from the paper, uses every core, and is the right choice outside of
-// benchmarking.
+// from the paper and uses every core; the Disable* switches are the
+// paper's own ablations (Section 6.4) and exist for its figures.
 type Options struct {
 	// Workers caps the engine's parallel execution layer: the all-top-k
 	// preprocessing, instance construction, and AA's concurrent batch
@@ -95,44 +95,6 @@ type Options struct {
 	Disable2DSpecialization bool
 	// DisableGrouping treats every user as a singleton group.
 	DisableGrouping bool
-	// DisableRedundancyPruning turns off the arrangement's split-time
-	// redundancy elimination of cell H-representations. The computed region
-	// is identical either way; the switch exists for benchmarking.
-	DisableRedundancyPruning bool
-	// DisableWarmStart turns off warm-started LP solving: every feasibility
-	// and redundancy solve cold-starts instead of re-entering the parent
-	// cell's simplex basis. Warm starts change only where the simplex search
-	// begins, never what it answers — regions and all stats except the pivot
-	// counters are identical either way; the switch exists for benchmarking.
-	DisableWarmStart bool
-	// DisableKernels turns off the blocked numeric kernels
-	// (internal/kern) everywhere the engine threads them: the pivot
-	// eliminations inside every LP solve, the layered index's batched
-	// scoring and bound maintenance, and the shard prescreen's band
-	// construction. The scalar paths selected instead are the verbatim
-	// historical loops, and the kernels reproduce them bit for bit —
-	// so unlike every other Disable* switch this one changes NOTHING
-	// observable: regions, placements, and every stats counter (pivot
-	// counts included) are byte-identical either way; only wall time
-	// moves. The switch exists for benchmarking and the differential
-	// property tests.
-	DisableKernels bool
-	// DisableTopKIndex turns off the layered all-top-k product index: the
-	// preprocessing falls back to the skyband-pruned full scan and a
-	// Monitor's UserArrived recomputes thresholds by scanning every
-	// product. The index changes only which products get scored, never
-	// the selection — every user's top-k-th product (identity and score)
-	// is byte-identical either way; the switch exists for benchmarking.
-	DisableTopKIndex bool
-	// DisableRouting turns off MBB-routed incremental maintenance on the
-	// dynamic path (Monitor): every arrival/departure falls back to a full
-	// sweep over the arrangement's leaves instead of a pruned descent that
-	// skips subtrees the event provably cannot affect. Routing changes only
-	// when per-leaf bookkeeping is brought current, never what any
-	// re-verification computes — maintained regions are byte-identical
-	// either way for every worker count; the switch exists for
-	// benchmarking.
-	DisableRouting bool
 }
 
 // Strategy selects AA's group-insertion order.
@@ -159,11 +121,6 @@ func (o *Options) toCore() core.Options {
 		DisableInnerGroup: o.DisableInnerGroupProcessing,
 		Disable2D:         o.Disable2DSpecialization,
 		DisableGrouping:   o.DisableGrouping,
-		DisablePruning:    o.DisableRedundancyPruning,
-		DisableWarmStart:  o.DisableWarmStart,
-		DisableKernels:    o.DisableKernels,
-		DisableTopKIndex:  o.DisableTopKIndex,
-		DisableRouting:    o.DisableRouting,
 	}
 }
 
@@ -184,6 +141,7 @@ type Analyzer struct {
 // NewAnalyzer validates the inputs and runs the all-top-k preprocessing.
 // Products are rows of attribute values in [0,1]; users supply simplex
 // weights of the same dimensionality and k between 1 and len(products).
+// A NaN or ±Inf attribute or weight is an error.
 //
 // The inputs are deep-copied: callers may mutate or reuse their slices
 // after NewAnalyzer returns without corrupting the Analyzer.

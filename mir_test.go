@@ -243,8 +243,7 @@ func TestOptionsPlumbed(t *testing.T) {
 		{Strategy: RoundRobin},
 		{DisableFastTests: true, DisableInnerGroupProcessing: true},
 		{Disable2DSpecialization: true, DisableGrouping: true},
-		{DisableKernels: true},
-		{DisableKernels: true, Shards: 4},
+		{Shards: 4},
 	} {
 		a, err := NewAnalyzer(ps, us, opts)
 		if err != nil {
@@ -276,6 +275,16 @@ func TestNewAnalyzerValidation(t *testing.T) {
 	}
 	if _, err := NewAnalyzer(ps, nil, nil); err == nil {
 		t.Error("nil users accepted")
+	}
+	nanPs := append([][]float64(nil), ps...)
+	nanPs[1] = []float64{math.NaN(), 0.5}
+	if _, err := NewAnalyzer(nanPs, us, nil); err == nil {
+		t.Error("NaN product attribute accepted")
+	}
+	infUs := append([]User(nil), us...)
+	infUs[2] = User{Weights: []float64{math.Inf(1), 0}, K: 3}
+	if _, err := NewAnalyzer(ps, infUs, nil); err == nil {
+		t.Error("Inf user weight accepted")
 	}
 	us[0].K = 0
 	if _, err := NewAnalyzer(ps, us, nil); err == nil {

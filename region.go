@@ -113,9 +113,9 @@ type Stats struct {
 	// Pivots, WarmHits, WarmMisses, and ColdSolves aggregate the simplex
 	// solvers' effort across the run's classification, redundancy, and
 	// convex-hull LPs. Pivots is the cost metric of the warm-start
-	// optimization: it drops when solves re-enter parent-cell bases
-	// (Options.DisableWarmStart selects the cold path) while every other
-	// counter — and the region itself — stays identical.
+	// optimization: it drops when solves re-enter parent-cell bases, while
+	// every other counter — and the region itself — matches a cold-started
+	// build.
 	Pivots     int64
 	WarmHits   int64
 	WarmMisses int64
@@ -123,24 +123,19 @@ type Stats struct {
 	// ScannedProducts and LayerPrunes profile the layered all-top-k
 	// index behind the preprocessing and the Monitor's arrival path:
 	// product rows actually scored, and index blocks (the layers' bound
-	// granules) skipped whole by the threshold bound. IndexPatches and IndexRebuilds count the index's
-	// incremental product-dynamics operations. All four are zero when
-	// Options.DisableTopKIndex selected the scan paths, and — like the
-	// counters above — deterministic for every worker count.
+	// granules) skipped whole by the threshold bound. Like the counters
+	// above, both are deterministic for every worker count.
 	ScannedProducts int64
 	LayerPrunes     int64
-	IndexPatches    int64
-	IndexRebuilds   int64
 	// RoutedLeaves, SkippedSubtrees, and TouchedFrontier profile the
 	// Monitor's routed incremental maintenance (zero outside maintained
 	// runs): leaves actually visited by event application, subtrees (or
 	// single leaves) skipped whole because the routing bounds proved no
 	// decision below could flip, and leaves bucketed for re-verification.
 	// RoutedLeaves per event is the locality metric of the routing
-	// optimization: it collapses when routing is on (Options.DisableRouting
-	// selects the historical every-leaf sweep) while the maintained region
-	// stays byte-identical. All three merge by summation and are
-	// deterministic for every worker count.
+	// optimization: it collapses against the historical every-leaf sweep
+	// while the maintained region stays byte-identical. All three merge by
+	// summation and are deterministic for every worker count.
 	RoutedLeaves    int
 	SkippedSubtrees int
 	TouchedFrontier int
@@ -184,8 +179,6 @@ func (r *Region) Stats() Stats {
 		ColdSolves:       s.ColdSolves,
 		ScannedProducts:  s.ScannedProducts,
 		LayerPrunes:      s.LayerPrunes,
-		IndexPatches:     s.IndexPatches,
-		IndexRebuilds:    s.IndexRebuilds,
 		RoutedLeaves:     s.RoutedLeaves,
 		SkippedSubtrees:  s.SkippedSubtrees,
 		TouchedFrontier:  s.TouchedFrontier,

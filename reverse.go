@@ -39,14 +39,14 @@ type Influence struct {
 // the mIR preprocessing.
 // Coverage descends, ties break toward the smaller index.
 //
-// When the instance carries the layered top-k index, counting runs
-// user-major through Searcher.AtLeast — each user's influential products
-// are exactly {p : w·p >= t_i - Eps}, so the index enumerates them with
+// Counting runs user-major through the instance's layered top-k index
+// (Searcher.AtLeast) — each user's influential products are exactly
+// {p : w·p >= t_i - Eps}, so the index enumerates them with
 // superblock/block bound pruning instead of |P|·|U| dot products. The
 // index threshold is slackened by an extra Eps and every hit rechecked
 // with the halfspace's own Contains, so the counts (and therefore the
-// returned ranking) are byte-identical to the scan fallback regardless of
-// rounding differences between the two evaluation orders.
+// returned ranking) are byte-identical to a full |P|·|U| coverage scan
+// regardless of rounding differences between the two evaluation orders.
 func (a *Analyzer) MostInfluential(n int) []Influence {
 	if n > len(a.inst.Products) {
 		n = len(a.inst.Products)
@@ -55,27 +55,16 @@ func (a *Analyzer) MostInfluential(n int) []Influence {
 		return nil
 	}
 	counts := make([]int, len(a.inst.Products))
-	if ix := a.inst.TopKIndex; ix != nil {
-		// A Searcher is not safe for concurrent use and Analyzer is
-		// documented concurrent-safe, so allocate one per call. The
-		// instance never patches its index, so index ids are product
-		// indices.
-		s := topk.NewSearcher(ix)
-		var buf []int
-		for _, h := range a.inst.HS {
-			buf = s.AtLeast(h.W, h.T-2*geom.Eps, buf[:0])
-			for _, pi := range buf {
-				if h.Contains(a.inst.Products[pi]) {
-					counts[pi]++
-				}
-			}
-		}
-	} else {
-		for pi, p := range a.inst.Products {
-			for _, h := range a.inst.HS {
-				if h.Contains(p) {
-					counts[pi]++
-				}
+	// A Searcher is not safe for concurrent use and Analyzer is documented
+	// concurrent-safe, so allocate one per call. The index is immutable,
+	// so its ids are product indices.
+	s := topk.NewSearcher(a.inst.TopKIndex)
+	var buf []int
+	for _, h := range a.inst.HS {
+		buf = s.AtLeast(h.W, h.T-2*geom.Eps, buf[:0])
+		for _, pi := range buf {
+			if h.Contains(a.inst.Products[pi]) {
+				counts[pi]++
 			}
 		}
 	}

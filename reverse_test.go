@@ -31,10 +31,9 @@ func naiveMostInfluential(a *Analyzer, ps [][]float64, n int) []Influence {
 
 // TestMostInfluentialDifferential pins the index-accelerated coverage
 // counting byte-identical to the naive scan: same products in the same
-// order with the same counts, for the indexed and index-disabled
-// analyzers alike. Duplicate products force heavy coverage ties, so the
-// index-order-vs-scan-order distinction would surface immediately if the
-// tie-break ever leaked evaluation order.
+// order with the same counts. Duplicate products force heavy coverage
+// ties, so the index-order-vs-scan-order distinction would surface
+// immediately if the tie-break ever leaked evaluation order.
 func TestMostInfluentialDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 4; trial++ {
@@ -48,27 +47,21 @@ func TestMostInfluentialDifferential(t *testing.T) {
 			copy(dup, ps[i])
 			ps = append(ps, dup)
 		}
-		indexed, err := NewAnalyzer(ps, us, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scanned, err := NewAnalyzer(ps, us, &Options{DisableTopKIndex: true})
+		a, err := NewAnalyzer(ps, us, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, n := range []int{0, 1, 3, len(ps), len(ps) + 5} {
-			want := naiveMostInfluential(indexed, ps, n)
-			for name, a := range map[string]*Analyzer{"indexed": indexed, "scan": scanned} {
-				got := a.MostInfluential(n)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d %s n=%d: %d results, want %d",
-						trial, name, n, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d %s n=%d: result %d = %+v, want %+v",
-							trial, name, n, i, got[i], want[i])
-					}
+			want := naiveMostInfluential(a, ps, n)
+			got := a.MostInfluential(n)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d n=%d: %d results, want %d",
+					trial, n, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d n=%d: result %d = %+v, want %+v",
+						trial, n, i, got[i], want[i])
 				}
 			}
 		}
