@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race race-hammer mird-smoke perfbench-test bench-smoke fuzz-smoke bench bench-json bench-topk bench-dyn bench-shard bench-check ci
+.PHONY: all vet build test race race-hammer mird-smoke perfbench-test bench-smoke fuzz-smoke bench bench-json bench-topk bench-dyn bench-check ci
 
 all: ci
 
@@ -86,8 +86,7 @@ bench-dyn:
 	$(GO) run ./cmd/mirbench -json-dyn BENCH_DYN.json
 
 # Regenerate every matrix to scratch paths and gate them against the
-# committed references (the AA matrix, shard axis included, runs through
-# the bench-shard prerequisite): fails if any workers=1 AA row allocates more than
+# committed references: fails if any workers=1 AA row allocates more than
 # 10% over BENCH_AA.json or runs more than 10% more simplex pivots/op
 # (both counters are deterministic at one worker, so those margins are
 # pure headroom; the pivot gate catches warm starts silently going cold),
@@ -100,27 +99,13 @@ bench-dyn:
 # with the one deliberate exception of the standing events/sec floor —
 # that number is the tentpole's contract. (touched-leaves/event is
 # deterministic per configuration, so its margin is pure headroom.)
-# Shard-scaling axis of the AA matrix: regenerates BENCH_AA.ci.json —
-# which includes the Shards ∈ {1,2,4,8} rows at Workers=8 — and gates it.
-# The shard gates (checkShardScaling) run fresh-vs-fresh on every -json
-# invocation: prescreen must absorb a nonzero halfspace fraction on every
-# multi-shard row, the Shards=8 decomposition must keep the largest
-# shard's cell share low enough to admit a >=3x parallel speedup
-# (total/max shard cells — deterministic, so it gates on any machine),
-# each shard's mean allocation footprint must stay under half the
-# single-tree build's, and on hosts with >=8 CPUs the >=3x wall-clock
-# speedup at Shards=8/Workers=8 vs Shards=1 is enforced directly (on
-# smaller hosts there is no parallelism to measure, so wall never gates —
-# the balance bound is the machine-independent form of the same
-# contract). The TOPK run gates the kernel scan-wall sweep: scoring the
+# The TOPK run gates the kernel scan-wall sweep: scoring the
 # full product matrix through the blocked kernels must beat the
 # historical scalar loop they reproduce (kern.DotRowsScalar) by >=2x in
 # aggregate (both sides measured in the same process, so machine speed
 # divides out).
-bench-shard:
+bench-check:
 	$(GO) run ./cmd/mirbench -json BENCH_AA.ci.json -baseline BENCH_AA.json
-
-bench-check: bench-shard
 	$(GO) run ./cmd/mirbench -json-topk BENCH_TOPK.ci.json -baseline-topk BENCH_TOPK.json
 	$(GO) run ./cmd/mirbench -json-dyn BENCH_DYN.ci.json -baseline-dyn BENCH_DYN.json
 

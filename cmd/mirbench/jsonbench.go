@@ -33,18 +33,6 @@ const (
 	jsonBenchRuns = 3
 )
 
-// The shard-scaling tier: a larger user population (the regime sharding
-// exists for) on the IND dataset, measured at Shards ∈ {1,2,4,8} with
-// Workers=8. m = |U|/2 spreads the region boundary across shard boxes,
-// which is the balance-relevant (and hardest) case for the decomposition.
-const (
-	jsonShardU       = 160
-	jsonShardM       = jsonShardU / 2
-	jsonShardWorkers = 8
-)
-
-var jsonShardMatrix = []int{1, 2, 4, 8}
-
 // benchResult is one (dataset, pruning, workers) cell of the benchmark
 // matrix.
 type benchResult struct {
@@ -59,13 +47,7 @@ type benchResult struct {
 	// the warm/cold workers=1 pair differs only in the pivot counters.
 	WarmStart bool `json:"warm_start"`
 	Workers   int  `json:"workers"`
-	// Shards is the space-sharding factor (1 = the single-tree build;
-	// legacy reports carry 0, which means the same). ShardCells is the
-	// per-shard arrangement-cell count in shard-ID order — deterministic
-	// for a fixed shard count, and the source of the balance gate.
-	Shards     int   `json:"shards"`
-	ShardCells []int `json:"shard_cells,omitempty"`
-	Runs       int   `json:"runs"`
+	Runs      int  `json:"runs"`
 
 	// WallSeconds is the fastest of Runs measured executions (the standard
 	// benchmarking convention: minimum wall time is the least noisy
@@ -145,7 +127,6 @@ func runJSONBench(cfg config, path, baselinePath string) error {
 				Pruning:   cell.pruning,
 				WarmStart: cell.warm,
 				Workers:   cell.workers,
-				Shards:    1,
 				Runs:      jsonBenchRuns,
 			}
 			if err := measureAA(inst, m, opts, &res); err != nil {
@@ -158,34 +139,6 @@ func runJSONBench(cfg config, path, baselinePath string) error {
 				res.Stats.Pivots, schedSteals(res.Sched))
 		}
 	}
-	// Shard-scaling axis: the larger IND tier at Workers=8 across the
-	// shard matrix. The Shards=1 row is the single-tree reference the
-	// shard gates compare against (fresh vs fresh, so machine speed
-	// divides out of the wall ratio).
-	shardInst := cfg.instance("IND", "CL", jsonBenchP, jsonShardU, jsonBenchD, jsonBenchK, 101)
-	for _, shards := range jsonShardMatrix {
-		opts := core.Options{Workers: jsonShardWorkers, Shards: shards}
-		res := benchResult{
-			Dataset:   "IND",
-			Products:  jsonBenchP,
-			Users:     jsonShardU,
-			Dim:       jsonBenchD,
-			K:         jsonBenchK,
-			M:         jsonShardM,
-			Pruning:   true,
-			WarmStart: true,
-			Workers:   jsonShardWorkers,
-			Shards:    shards,
-			Runs:      jsonBenchRuns,
-		}
-		if err := measureAA(shardInst, jsonShardM, opts, &res); err != nil {
-			return fmt.Errorf("shard tier shards=%d: %w", shards, err)
-		}
-		report.Results = append(report.Results, res)
-		fmt.Printf("IND   |U|=%d shards=%d workers=%d  %8.3fs  %9d bytes/op  cells=%d prescreened=%d\n",
-			jsonShardU, shards, jsonShardWorkers, res.WallSeconds, res.BytesPerOp,
-			res.Stats.Cells, res.Stats.PrescreenedOut)
-	}
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
@@ -195,124 +148,15 @@ func runJSONBench(cfg config, path, baselinePath string) error {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)
-	// The shard gates compare rows of the fresh report against each
-	// other, so they run on every -json invocation, baseline or not. The
-	// shard wall floor keys off the CPU count the report itself records —
-	// a committed fact, not whatever machine re-runs the check.
-	if err := checkShardScaling(report, report.NumCPU); err != nil {
-		return err
-	}
 	if baselinePath != "" {
 		return checkBaseline(report, baselinePath)
 	}
 	return nil
 }
 
-// Shard-scaling gates. Every gate compares rows of the same fresh report
-// (never the committed baseline), so machine speed divides out and the
-// gates hold on any host:
-//
-//   - prescreen: every Shards>1 row must absorb a nonzero number of
-//     halfspaces (PrescreenedOut > 0) — the band-bound prescreen going
-//     silent means shard boxes stopped excluding any user boundary.
-//   - balance: on the largest shard row, total cells / max per-shard
-//     cells must stay >= shardBalanceFloor. This is the deterministic
-//     upper-bound witness for parallel speedup: no schedule can beat it,
-//     and a decomposition that admits >= 3x keeps it >= 3.
-//   - allocation: the largest shard row's mean per-shard footprint
-//     (BytesPerOp / Shards) must stay under shardAllocFraction of the
-//     single-tree build's BytesPerOp — sharding must split the working
-//     set, not replicate it.
-//   - wall: on hosts with >= shardWallGateCPUs CPUs, the measured
-//     speedup wall(Shards=1)/wall(largest) must reach
-//     shardWallSpeedupMin. On smaller hosts there is no parallelism to
-//     measure and the balance gate is the machine-independent form of
-//     the same contract, so wall is reported but not enforced.
-const (
-	shardBalanceFloor   = 3.0
-	shardAllocFraction  = 0.5
-	shardWallSpeedupMin = 3.0
-	shardWallGateCPUs   = 8
-)
-
-func checkShardScaling(report benchReport, numCPU int) error {
-	rows := make(map[int]benchResult)
-	for _, r := range report.Results {
-		if r.Users == jsonShardU && r.Workers == jsonShardWorkers && r.Shards >= 1 {
-			rows[r.Shards] = r
-		}
-	}
-	var failures []string
-	for _, s := range jsonShardMatrix {
-		r, ok := rows[s]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("shards=%d: row missing from report", s))
-			continue
-		}
-		if s > 1 && r.Stats.PrescreenedOut == 0 {
-			failures = append(failures, fmt.Sprintf(
-				"shards=%d: prescreen absorbed no halfspaces", s))
-		}
-	}
-	single, haveSingle := rows[1]
-	topShards := jsonShardMatrix[len(jsonShardMatrix)-1]
-	top, haveTop := rows[topShards]
-	if haveTop {
-		maxCells := 0
-		for _, c := range top.ShardCells {
-			if c > maxCells {
-				maxCells = c
-			}
-		}
-		if maxCells <= 0 {
-			failures = append(failures, fmt.Sprintf(
-				"shards=%d: no per-shard cell counts recorded", topShards))
-		} else {
-			balance := float64(top.Stats.Cells) / float64(maxCells)
-			fmt.Printf("shard balance shards=%d: %d cells / %d max-shard = %.2f (floor %.1f)\n",
-				topShards, top.Stats.Cells, maxCells, balance, shardBalanceFloor)
-			if balance < shardBalanceFloor {
-				failures = append(failures, fmt.Sprintf(
-					"shards=%d: balance %.2f below floor %.1f (largest shard holds %d of %d cells)",
-					topShards, balance, shardBalanceFloor, maxCells, top.Stats.Cells))
-			}
-		}
-	}
-	if haveSingle && haveTop {
-		perShard := top.BytesPerOp / uint64(topShards)
-		limit := uint64(shardAllocFraction * float64(single.BytesPerOp))
-		fmt.Printf("shard alloc shards=%d: %d bytes/shard vs limit %d (%.0f%% of single-tree %d)\n",
-			topShards, perShard, limit, shardAllocFraction*100, single.BytesPerOp)
-		if perShard > limit {
-			failures = append(failures, fmt.Sprintf(
-				"shards=%d: per-shard footprint %d bytes exceeds %.0f%% of single-tree %d bytes",
-				topShards, perShard, shardAllocFraction*100, single.BytesPerOp))
-		}
-		speedup := single.WallSeconds / top.WallSeconds
-		if numCPU >= shardWallGateCPUs {
-			fmt.Printf("shard wall shards=%d: %.2fx speedup over single tree (floor %.1fx)\n",
-				topShards, speedup, shardWallSpeedupMin)
-			if speedup < shardWallSpeedupMin {
-				failures = append(failures, fmt.Sprintf(
-					"shards=%d: wall speedup %.2fx below %.1fx on a %d-CPU host",
-					topShards, speedup, shardWallSpeedupMin, numCPU))
-			}
-		} else {
-			fmt.Printf("shard wall shards=%d: %.2fx measured on %d CPUs — not enforced below %d CPUs (balance gate stands in)\n",
-				topShards, speedup, numCPU, shardWallGateCPUs)
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("shard scaling gates failed:\n  %s", joinLines(failures))
-	}
-	fmt.Println("shard scaling check passed")
-	return nil
-}
-
-// measureAA runs one warm-up execution (populating res.Stats, res.Sched,
-// and res.ShardCells — all deterministic across runs) followed by
-// jsonBenchRuns measured executions, recording best-of wall time and
-// mean MemStats deltas.
+// measureAA runs one warm-up execution (populating res.Stats and
+// res.Sched) followed by jsonBenchRuns measured executions, recording
+// best-of wall time and mean MemStats deltas.
 func measureAA(inst *core.Instance, m int, opts core.Options, res *benchResult) error {
 	reg, err := core.AA(inst, m, opts)
 	if err != nil {
@@ -321,7 +165,6 @@ func measureAA(inst *core.Instance, m int, opts core.Options, res *benchResult) 
 	res.Stats = reg.Stats
 	res.Stats.StealCount, res.Stats.MaxFrontier = 0, 0
 	res.Sched = reg.Sched
-	res.ShardCells = append([]int(nil), reg.ShardCells...)
 
 	var allocs, bytes uint64
 	best := -1.0

@@ -162,11 +162,8 @@ func (c config) instance(pKind, uKind string, nP, nU, d, k int, off int64) *core
 }
 
 // hostMeta records the measuring host's facts at the top of every
-// BENCH_* report: toolchain, platform, and CPU count. Gates that depend
-// on the measuring machine (the shard wall floor keys off CPU count)
-// read these committed facts rather than interrogating the machine that
-// happens to re-run the check, so a report gates the same way on every
-// host.
+// BENCH_* report: toolchain, platform, and CPU count, so a committed wall
+// number can be read against the machine that produced it.
 type hostMeta struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`

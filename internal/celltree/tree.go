@@ -262,26 +262,6 @@ func New(box *geom.Polytope) *Tree {
 	return t
 }
 
-// NewRooted creates a tree over box whose root carries the given ID and
-// depth instead of the canonical {0, 0}. It is the shard-root constructor
-// of the space-sharded arrangement: the recursive bisection that carves
-// the product space into 2^j shard boxes is a virtual top-level tree, and
-// each shard's root takes the heap-numbered ID of its virtual node (lower
-// child 2i+1, upper child 2i+2 from a virtual root 0) at depth j. Every
-// descendant then derives its ID from that prefix exactly as New's trees
-// do from 0, so for a fixed shard count the IDs across the whole shard
-// forest stay path-derived, globally unique (up to depth 62), and
-// independent of how shard or frontier work was scheduled.
-func NewRooted(box *geom.Polytope, rootID, rootDepth int) *Tree {
-	t := New(box)
-	t.Root.ID = rootID
-	t.Root.Depth = rootDepth
-	if rootDepth > t.Stats.MaxDepth {
-		t.Stats.MaxDepth = rootDepth
-	}
-	return t
-}
-
 // Shard is a mutation context for the tree: it owns the scratch buffers a
 // split needs and a Stats accumulator for every counter the mutation
 // updates. One shard must be used by at most one goroutine at a time, and

@@ -334,26 +334,6 @@ func TestAbsorbShardTwicePanics(t *testing.T) {
 	}
 }
 
-// TestNewRooted pins the shard-root constructor: the root takes the
-// caller's virtual heap ID and depth, descendants derive path IDs from
-// that prefix, and MaxDepth starts at the root's depth.
-func TestNewRooted(t *testing.T) {
-	tr := NewRooted(geom.NewBox(2, 0, 1), 4, 2)
-	if tr.Root.ID != 4 || tr.Root.Depth != 2 {
-		t.Fatalf("root = {ID %d, Depth %d}, want {4, 2}", tr.Root.ID, tr.Root.Depth)
-	}
-	if tr.Stats.MaxDepth != 2 {
-		t.Fatalf("MaxDepth = %d, want 2", tr.Stats.MaxDepth)
-	}
-	l, r := tr.SplitBy(tr.Root, geom.Halfspace{W: geom.Vector{1, 0}, T: 0.5})
-	if l.ID != 9 || r.ID != 10 {
-		t.Fatalf("children of root 4 = %d, %d; want 9, 10", l.ID, r.ID)
-	}
-	if l.Depth != 3 || r.Depth != 3 || tr.Stats.MaxDepth != 3 {
-		t.Fatalf("child depths %d/%d, MaxDepth %d; want 3/3/3", l.Depth, r.Depth, tr.Stats.MaxDepth)
-	}
-}
-
 // TestHeapPopReleasesCell: the truncated backing array must not keep a
 // popped cell alive — popped-and-eliminated cells should be collectable,
 // so the vacated slot has to be zeroed.

@@ -20,9 +20,6 @@ import (
 // two-dimensional instances a specialized insertion (Lemmas 5/6) reports
 // whole sub-regions per group directly.
 func AA(inst *Instance, m int, opts Options) (*Region, error) {
-	if shards := effectiveShards(opts); shards > 1 {
-		return aaSharded(inst, m, opts, shards)
-	}
 	run, err := runAA(inst, m, opts)
 	if err != nil {
 		return nil, err
@@ -137,17 +134,7 @@ func (r *aaRun) fast() bool { return !r.opts.DisableFastTest }
 func (r *aaRun) workers() int { return par.Resolve(r.opts.Workers) }
 
 // seedRoot attaches the full group list to the root and queues it.
-func (r *aaRun) seedRoot() { r.seedRootPrescreened(nil) }
-
-// seedRootPrescreened attaches the pending group list to the root and
-// queues it. With rel == nil (the single-tree path) every member of every
-// group is pending — the historical seeding, byte for byte. With a
-// prescreen relation per user (the space-sharded path), members whose
-// halfspace provably covers or misses the root box are absorbed into the
-// root's counts up front and only the cutting members enter the views;
-// group order and within-group member order are preserved, so the shard's
-// run stays deterministic for every worker count.
-func (r *aaRun) seedRootPrescreened(rel []geom.Relation) {
+func (r *aaRun) seedRoot() {
 	r.seq = &aaWorker{r: r, sh: r.tr.OwnShard(), st: &r.st, fanout: r.workers()}
 	r.tr.Prune = !r.opts.DisablePruning
 	r.tr.WarmStart = !r.opts.DisableWarmStart
@@ -155,67 +142,23 @@ func (r *aaRun) seedRootPrescreened(rel []geom.Relation) {
 	if root.Status != celltree.Active {
 		return
 	}
-	if rel != nil {
-		in, out := 0, 0
-		for _, rl := range rel {
-			switch rl {
-			case geom.Covers:
-				in++
-			case geom.Excludes:
-				out++
-			}
-		}
-		root.InCount, root.OutCount = in, out
-		r.st.PrescreenedOut = int64(in + out)
-		r.st.ShardHalfspaces = int64(r.nU - in - out)
-	}
 	cg := &cellGroups{}
-	for _, g := range r.inst.Groups {
-		members := g.Members
-		if rel != nil {
-			members = cuttingMembers(g.Members, rel)
-			if len(members) == 0 {
-				continue
-			}
-		}
-		switch {
-		case r.opts.DisableGrouping:
-			for i := range members {
-				single := &Group{Pivot: g.Pivot, R: g.R, Members: members[i : i+1]}
+	if r.opts.DisableGrouping {
+		for _, g := range r.inst.Groups {
+			for i := range g.Members {
+				single := &Group{Pivot: g.Pivot, R: g.R, Members: g.Members[i : i+1]}
 				cg.views = append(cg.views, newView(single))
 			}
-		case len(members) == len(g.Members):
+		}
+	} else {
+		for _, g := range r.inst.Groups {
 			cg.views = append(cg.views, newView(g))
-		default:
-			cg.views = append(cg.views, &view{g: g, members: members})
 		}
 	}
 	root.Payload = cg
 	if !r.seq.verify(root) {
 		r.heap.Push(root, r.priority(root))
 	}
-}
-
-// cuttingMembers returns the members whose prescreen relation is Cuts,
-// preserving order (the d=2 paths rely on the group's member ordering).
-// The full slice is returned unallocated when nothing was absorbed.
-func cuttingMembers(members []int, rel []geom.Relation) []int {
-	n := 0
-	for _, ui := range members {
-		if rel[ui] == geom.Cuts {
-			n++
-		}
-	}
-	if n == len(members) {
-		return members
-	}
-	out := make([]int, 0, n)
-	for _, ui := range members {
-		if rel[ui] == geom.Cuts {
-			out = append(out, ui)
-		}
-	}
-	return out
 }
 
 // loop is the sequential drain: Algorithm 2's main iteration (and, in

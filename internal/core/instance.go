@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"mir/internal/geom"
 	"mir/internal/par"
@@ -69,38 +68,14 @@ type Instance struct {
 	// TopKIndex is the shared layered all-top-k product index: the
 	// preprocessing answers every user's threshold from it, and the
 	// dynamic path (Maintainer.AddUser) reuses it for arriving users
-	// instead of scanning the full product set. Immutable under queries;
-	// nil when Options.DisableTopKIndex selected the scan paths.
+	// instead of scanning the full product set. Immutable under queries.
 	TopKIndex *topk.Index
 	// Prep records the preprocessing search effort of the indexed
-	// all-top-k (zero when the index is disabled).
+	// all-top-k.
 	Prep topk.SearchStats
 
 	// wFlat is the row-major |U|×d backing of the halfspace normals.
 	wFlat []float64
-
-	// bands caches the banded box-corner prescreen bounds over the
-	// halfspace normals and thresholds (built on first use; see
-	// HalfspaceBands).
-	bands     *topk.HalfspaceBands
-	bandsOnce sync.Once
-}
-
-// HalfspaceBands returns the blocked band bounds over the instance's
-// influential halfspaces (normals from wFlat, thresholds from HS), built
-// lazily on first use. The space-sharded AA prescreens each shard box
-// with them so a shard only classifies halfspaces whose boundary can
-// intersect its box. The bands are immutable once built and safe for
-// concurrent Prescreen calls.
-func (inst *Instance) HalfspaceBands() *topk.HalfspaceBands {
-	inst.bandsOnce.Do(func() {
-		t := make([]float64, len(inst.HS))
-		for i, h := range inst.HS {
-			t[i] = h.T
-		}
-		inst.bands = topk.NewHalfspaceBands(inst.wFlat, inst.Dim, t)
-	})
-	return inst.bands
 }
 
 // NewInstance validates the inputs and performs the all-top-k
@@ -125,10 +100,9 @@ func NewInstanceWorkers(products []geom.Vector, users []topk.UserPref, workers i
 // tests). Every stage writes to index-addressed slots, so the resulting
 // Instance is identical for every worker count.
 //
-// The all-top-k step runs through the layered product index by default
-// (Kth results are byte-identical to the skyband-scan fallback that
-// opts.DisableTopKIndex selects); the built index stays on the Instance
-// for the dynamic path to reuse.
+// The all-top-k step runs through the layered product index (Kth
+// results are byte-identical to the skyband scan topk.AllTopKWorkers);
+// the built index stays on the Instance for the dynamic path to reuse.
 //
 // Validation rejects NaN and ±Inf product attributes and user weights
 // with ErrNonFinite, next to the dimension and k checks.
@@ -168,16 +142,12 @@ func NewInstanceOpts(products []geom.Vector, users []topk.UserPref, opts Options
 
 	workers := opts.Workers
 	inst := &Instance{
-		Products: products,
-		Users:    users,
-		Dim:      d,
+		Products:  products,
+		Users:     users,
+		Dim:       d,
+		TopKIndex: topk.NewIndex(products),
 	}
-	if opts.DisableTopKIndex {
-		inst.Kth = topk.AllTopKWorkers(products, users, workers)
-	} else {
-		inst.TopKIndex = topk.NewIndex(products)
-		inst.Kth, inst.Prep = inst.TopKIndex.AllTopKWorkers(users, workers)
-	}
+	inst.Kth, inst.Prep = inst.TopKIndex.AllTopKWorkers(users, workers)
 	inst.HS = make([]geom.Halfspace, len(users))
 	inst.WProj = make([]geom.Vector, len(users))
 	inst.wFlat = make([]float64, len(users)*d)

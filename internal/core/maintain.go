@@ -36,9 +36,8 @@ type Maintainer struct {
 	nAlive int
 
 	// search answers arriving users' top-k thresholds from the instance's
-	// shared layered index (nil when the index is disabled, selecting the
-	// historical full product scan). The Maintainer is single-threaded, so
-	// one searcher suffices.
+	// shared layered index. The Maintainer is single-threaded, so one
+	// searcher suffices.
 	search *topk.Searcher
 
 	run *aaRun
@@ -80,10 +79,8 @@ func NewMaintainer(inst *Instance, m int, opts Options) (*Maintainer, error) {
 		users:    inst.Users,
 		alive:    make([]bool, len(inst.Users)),
 		nAlive:   len(inst.Users),
+		search:   topk.NewSearcher(inst.TopKIndex),
 		run:      run,
-	}
-	if inst.TopKIndex != nil {
-		mt.search = topk.NewSearcher(inst.TopKIndex)
 	}
 	for i := range mt.alive {
 		mt.alive[i] = true
@@ -298,15 +295,10 @@ func (mt *Maintainer) ApplyBatch(events []Event) ([]int, error) {
 			continue
 		}
 		u := ev.User
-		var kth topk.KthResult
-		if mt.search != nil {
-			mt.search.Stats = topk.SearchStats{}
-			kth = mt.search.Kth(u.W, u.K)
-			mt.run.st.ScannedProducts += mt.search.Stats.ScannedProducts
-			mt.run.st.LayerPrunes += mt.search.Stats.LayerPrunes
-		} else {
-			kth = topk.KthScore(mt.products, u.W, u.K)
-		}
+		mt.search.Stats = topk.SearchStats{}
+		kth := mt.search.Kth(u.W, u.K)
+		mt.run.st.ScannedProducts += mt.search.Stats.ScannedProducts
+		mt.run.st.LayerPrunes += mt.search.Stats.LayerPrunes
 		mt.users = append(mt.users, u)
 		mt.alive = append(mt.alive, true)
 		inst.Users = append(inst.Users, u)

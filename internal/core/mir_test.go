@@ -167,7 +167,9 @@ func TestAAOracleLarger(t *testing.T) {
 }
 
 // TestAblationsPreserveExactness: every Options toggle must yield the same
-// region (they are performance switches, not semantics switches).
+// region (they are performance switches, not semantics switches). At d=2
+// the regions must also have the same exact area, which samples cannot
+// show.
 func TestAblationsPreserveExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	variants := []struct {
@@ -202,6 +204,12 @@ func TestAblationsPreserveExactness(t *testing.T) {
 				t.Fatalf("%s: %v", v.name, err)
 			}
 			sameRegion(t, inst, base, got, rng, 1000)
+			if d == 2 {
+				a, b := base.Area2D(), got.Area2D()
+				if diff := math.Abs(a - b); diff > 1e-9*(1+math.Abs(a)) {
+					t.Fatalf("%s: area %g vs default %g", v.name, b, a)
+				}
+			}
 		}
 	}
 }

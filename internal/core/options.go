@@ -20,9 +20,9 @@ const (
 // (the paper's configuration). DisableFastTest, DisableInnerGroup,
 // Disable2D and DisableGrouping are the effectiveness ablations of
 // Section 6.4, which the public mir.Options mirrors. The engineering
-// switches (DisablePruning, DisableWarmStart, DisableTopKIndex,
-// DisableRouting) are not public: their off paths serve as references
-// for mirbench's ablation axes, the shard pilot, and the identity tests.
+// switches (DisablePruning, DisableWarmStart, DisableRouting) are not
+// public: their off paths serve as references for mirbench's ablation
+// axes and the identity tests.
 type Options struct {
 	// Workers caps the parallel execution layer threaded through the
 	// engine: the all-top-k preprocessing fan-out, instance construction
@@ -36,27 +36,6 @@ type Options struct {
 	// exceed the sequential numbers (classification past a sequential
 	// early-exit point is wasted rather than skipped).
 	Workers int
-	// Shards pre-splits product space into 2^j disjoint top-level boxes
-	// (axis-aligned recursive bisection; the largest power of two <=
-	// Shards) and runs a fully independent AA per box: its own cell tree,
-	// staging heap, frontier scheduler, and stats accumulator, with the
-	// shard's halfspace set prescreened against the box by banded corner
-	// bounds so only halfspaces whose boundary can intersect the box are
-	// ever classified inside it. Shard regions concatenate in shard-ID
-	// order. 0 or 1 (the default) selects the historical single-tree
-	// path. Sharding is a one-shot build strategy: it applies to AA (and
-	// the public ImpactRegion); maintained runs (Maintainer / Monitor)
-	// always build single-tree, whose incremental bookkeeping assumes one
-	// arrangement.
-	//
-	// Determinism contract: for a fixed shard count the merged region and
-	// all algorithmic stats are byte-identical for every Workers setting,
-	// and Shards <= 1 is byte-identical to the unsharded build. Across
-	// different shard counts the region covers exactly the same point set
-	// (property-tested against the coverage oracle) but its cell
-	// decomposition differs: shard boundaries are midplane cuts the
-	// unsharded arrangement never makes. See DESIGN.md §12.
-	Shards int
 	// GroupChoice picks the insertion group (Figure 17a).
 	GroupChoice GroupChoice
 	// DisableFastTest turns off the MBB filter-and-refine tests of
@@ -86,14 +65,6 @@ type Options struct {
 	// are byte-identical either way; the switch keeps the cold path
 	// selectable for benchmarking and the differential property tests.
 	DisableWarmStart bool
-	// DisableTopKIndex turns off the layered all-top-k product index
-	// (topk.Index): preprocessing falls back to the skyband-pruned full
-	// scan and the dynamic path's UserArrived recomputes thresholds by
-	// scanning every product. The index changes only which products get
-	// scored, never the selection — Kth results (index + score) are
-	// byte-identical either way — so the switch exists for benchmarking
-	// and the differential property tests.
-	DisableTopKIndex bool
 	// DisableRouting turns off MBB-routed incremental maintenance: every
 	// arrival/departure event falls back to the historical full sweep that
 	// stages the event onto every leaf of the arrangement. Routing defers
@@ -149,9 +120,8 @@ type Stats struct {
 	// ScannedProducts and LayerPrunes profile the layered all-top-k
 	// index: product rows actually scored and index blocks (the layers'
 	// bound granules) skipped whole by the threshold bound, summed over
-	// the instance's preprocessing and every
-	// UserArrived answered from the index (zero when the index is
-	// disabled). Both are deterministic across worker counts (per-user
+	// the instance's preprocessing and every UserArrived answered from
+	// the index. Both are deterministic across worker counts (per-user
 	// work is partition-independent and merges by summation).
 	ScannedProducts int64
 	LayerPrunes     int64
@@ -175,17 +145,6 @@ type Stats struct {
 	// when it doesn't, and a nonzero value means the affected leaf's counts
 	// were left untouched (the removal had nothing sound to undo).
 	CountDesyncs int64
-	// ShardHalfspaces and PrescreenedOut profile the space-sharded build
-	// (both zero on single-tree runs). Summed over shards: PrescreenedOut
-	// counts halfspaces the banded box-corner prescreen absorbed into a
-	// shard root's counts (their boundary provably misses the shard box —
-	// they cost O(d) instead of per-cell classification down the shard's
-	// tree), and ShardHalfspaces counts the survivors that entered the
-	// shard's pending views. ShardHalfspaces + PrescreenedOut ==
-	// Shards × |U|. Both are deterministic for a fixed shard count and
-	// merge by summation, order-free.
-	ShardHalfspaces int64
-	PrescreenedOut  int64
 	// StealCount counts successful frontier steals and MaxFrontier is the
 	// high-water mark of in-flight cells. Unlike every counter above, the
 	// two are scheduling-sensitive at Workers > 1 (they vary run to run)

@@ -23,13 +23,6 @@ type Region struct {
 	// non-AA algorithms). Its values are scheduling-sensitive and excluded
 	// from the determinism contract the rest of the Region obeys.
 	Sched *SchedStats
-	// ShardCells holds the arrangement-cell count each shard of a
-	// space-sharded build created, in shard-ID order (nil for single-tree
-	// runs). Deterministic per shard count; its sum is Stats.Cells minus
-	// nothing — every created cell belongs to exactly one shard. The
-	// total/max ratio bounds the parallel speedup the decomposition
-	// admits, which is what the bench-shard balance gate checks.
-	ShardCells []int
 }
 
 // Contains reports whether point p lies in the region (in at least one

@@ -11,8 +11,8 @@ import (
 )
 
 // TestInstanceKthIndexOnOffByteIdentical pins the engine-level contract
-// of the layered index: Instance.Kth (identity and score bits) is the
-// same with the index enabled or disabled, for workers 1, 2, 4, and 8.
+// of the layered index: Instance.Kth (identity and score bits) equals the
+// skyband scan reference topk.AllTopKWorkers, for workers 1, 2, 4, and 8.
 func TestInstanceKthIndexOnOffByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, d := range []int{2, 3, 4} {
@@ -21,28 +21,17 @@ func TestInstanceKthIndexOnOffByteIdentical(t *testing.T) {
 		for i := range us {
 			us[i].K = 1 + (i*7)%19
 		}
-		ref, err := NewInstanceOpts(ps, us, Options{Workers: 1, DisableTopKIndex: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := topk.AllTopKWorkers(ps, us, 1)
 		for _, workers := range []int{1, 2, 4, 8} {
-			for _, disable := range []bool{false, true} {
-				inst, err := NewInstanceOpts(ps, us, Options{Workers: workers, DisableTopKIndex: disable})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for ui := range us {
-					g, w := inst.Kth[ui], ref.Kth[ui]
-					if g.Index != w.Index || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
-						t.Fatalf("d=%d workers=%d index-off=%v user %d: %+v vs reference %+v",
-							d, workers, disable, ui, g, w)
-					}
-				}
-				if disable && inst.TopKIndex != nil {
-					t.Fatal("DisableTopKIndex left an index attached")
-				}
-				if !disable && inst.TopKIndex == nil {
-					t.Fatal("index enabled but not attached")
+			inst, err := NewInstanceOpts(ps, us, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ui := range us {
+				g, w := inst.Kth[ui], ref[ui]
+				if g.Index != w.Index || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+					t.Fatalf("d=%d workers=%d user %d: %+v vs scan reference %+v",
+						d, workers, ui, g, w)
 				}
 			}
 		}
@@ -72,33 +61,24 @@ func TestInstancePrepStatsDeterministic(t *testing.T) {
 	}
 }
 
-// TestMaintainerAddUserIndexOnOff runs the same arrival sequence through
-// an indexed and an index-less Maintainer: the appended thresholds (and
-// the regions they induce) must be byte-identical — the indexed
-// UserArrived path is a pure perf optimization.
+// TestMaintainerAddUserIndexOnOff runs an arrival sequence through a
+// Maintainer: every appended threshold must be byte-identical to the full
+// product scan topk.KthScore — the indexed UserArrived path is a pure perf
+// optimization — and the maintained region must match the coverage
+// oracle those thresholds induce.
 func TestMaintainerAddUserIndexOnOff(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	ps := data.Independent(rng, 300, 3)
 	us := data.WithK(data.ClusteredUsers(rng, 12, 3, 3, 0.08), 5)
 	m := 6
 
-	build := func(disable bool) *Maintainer {
-		inst, err := NewInstanceOpts(ps, us, Options{DisableTopKIndex: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mt, err := NewMaintainer(inst, m, Options{DisableTopKIndex: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mt
+	inst, err := NewInstanceOpts(ps, us, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	on, off := build(false), build(true)
-	if on.search == nil {
-		t.Fatal("indexed Maintainer has no searcher")
-	}
-	if off.search != nil {
-		t.Fatal("index-less Maintainer got a searcher")
+	mt, err := NewMaintainer(inst, m, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	arrivals := data.WithK(data.UniformUsers(rng, 10, 3), 1)
@@ -106,37 +86,29 @@ func TestMaintainerAddUserIndexOnOff(t *testing.T) {
 		arrivals[i].K = 1 + (i*3)%9
 	}
 	for i, u := range arrivals {
-		hOn, err := on.AddUser(u)
+		h, err := mt.AddUser(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hOff, err := off.AddUser(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hOn != hOff {
-			t.Fatalf("arrival %d: handles %d vs %d", i, hOn, hOff)
-		}
-		g, w := on.run.inst.Kth[hOn], off.run.inst.Kth[hOff]
+		g, w := mt.run.inst.Kth[h], topk.KthScore(ps, u.W, u.K)
 		if g.Index != w.Index || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
 			t.Fatalf("arrival %d: indexed threshold %+v vs scan %+v", i, g, w)
 		}
 	}
-	if on.run.st.ScannedProducts == 0 {
+	if mt.run.st.ScannedProducts == 0 {
 		t.Error("indexed arrivals recorded no scanned products")
 	}
-	// Same users, same thresholds: the maintained regions must agree.
-	ra, rb := on.Region(), off.Region()
+	reg := mt.Region()
 	for probe := 0; probe < 2000; probe++ {
 		p := make(geom.Vector, 3)
 		for j := range p {
 			p[j] = rng.Float64()
 		}
-		if on.MinBoundaryGap(p) < 1e-6 {
+		if mt.MinBoundaryGap(p) < 1e-6 {
 			continue
 		}
-		if ra.Contains(p) != rb.Contains(p) {
-			t.Fatalf("regions disagree at %v", p)
+		if (mt.CountCovering(p) >= m) != reg.Contains(p) {
+			t.Fatalf("region disagrees with the coverage oracle at %v", p)
 		}
 	}
 }

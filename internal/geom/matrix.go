@@ -7,9 +7,9 @@ import (
 )
 
 // This file holds the flat-matrix scoring entry points behind the
-// layered top-k index (internal/topk) and the shard prescreen: batched
-// inner products of one weight vector against the rows of a row-major
-// d-column matrix, and componentwise row extrema. The batched forms
+// layered top-k index (internal/topk): batched inner products of one
+// weight vector against the rows of a row-major d-column matrix, and
+// componentwise row maxima. The batched forms
 // exist so the index can score whole product layers over contiguous
 // memory instead of chasing per-product heap vectors.
 //
@@ -62,41 +62,20 @@ func DotRows(flat []float64, d int, w Vector, out []float64) {
 // trailing partial row, which would leave the bound unsound for
 // whatever the caller meant the tail to be. max must not alias flat.
 func RowMax(flat []float64, d int, max []float64) {
-	if rowBoundTrivial("RowMax", flat, d, max) {
-		return
-	}
-	kern.RowMax(flat, d, max)
-}
-
-// RowMin widens min (length d) to the componentwise minimum of itself
-// and the rows of flat: the lower-band counterpart of RowMax. The pair
-// brackets every row of a block between two vectors, which is what the
-// halfspace prescreen of the space-sharded arrangement dots against box
-// corners to decide whole blocks at once. Same contract as RowMax.
-func RowMin(flat []float64, d int, min []float64) {
-	if rowBoundTrivial("RowMin", flat, d, min) {
-		return
-	}
-	kern.RowMin(flat, d, min)
-}
-
-// rowBoundTrivial validates the RowMax/RowMin contract — the bound
-// length check runs BEFORE the d == 0 early return, so a caller
-// passing a stale non-empty bound for a zero-dimensional matrix panics
-// instead of silently getting no widening — and reports true when
-// there is nothing to widen.
-func rowBoundTrivial(name string, flat []float64, d int, bound []float64) bool {
-	if len(bound) != d {
-		panic(fmt.Sprintf("geom: %s bound has %d components, want %d", name, len(bound), d))
+	// The bound length check runs BEFORE the d == 0 early return, so a
+	// caller passing a stale non-empty bound for a zero-dimensional matrix
+	// panics instead of silently getting no widening.
+	if len(max) != d {
+		panic(fmt.Sprintf("geom: RowMax bound has %d components, want %d", len(max), d))
 	}
 	if d == 0 {
 		if len(flat) != 0 {
-			panic(fmt.Sprintf("geom: %s matrix has %d values with zero-width rows", name, len(flat)))
+			panic(fmt.Sprintf("geom: RowMax matrix has %d values with zero-width rows", len(flat)))
 		}
-		return true
+		return
 	}
 	if len(flat)%d != 0 {
-		panic(fmt.Sprintf("geom: %s matrix has %d values, not a multiple of %d", name, len(flat), d))
+		panic(fmt.Sprintf("geom: RowMax matrix has %d values, not a multiple of %d", len(flat), d))
 	}
-	return len(flat) == 0
+	kern.RowMax(flat, d, max)
 }

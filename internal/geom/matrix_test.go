@@ -117,15 +117,11 @@ func TestRowBoundZeroDimValidates(t *testing.T) {
 		}()
 		f()
 	}
-	for name, rowMax := range map[string]func([]float64, int, []float64){
-		"RowMax": RowMax, "RowMin": RowMin,
-	} {
-		mustPanic(name+" stale bound at d=0", func() {
-			rowMax(nil, 0, []float64{0.5})
-		})
-		mustPanic(name+" leftover matrix at d=0", func() {
-			rowMax([]float64{0.3}, 0, nil)
-		})
-		rowMax(nil, 0, nil) // the genuinely empty call stays accepted
-	}
+	mustPanic("RowMax stale bound at d=0", func() {
+		RowMax(nil, 0, []float64{0.5})
+	})
+	mustPanic("RowMax leftover matrix at d=0", func() {
+		RowMax([]float64{0.3}, 0, nil)
+	})
+	RowMax(nil, 0, nil) // the genuinely empty call stays accepted
 }

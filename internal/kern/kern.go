@@ -1,7 +1,7 @@
 // Package kern holds the blocked, SIMD-friendly numeric kernels behind
 // the engine's two hottest inner loops: batched weight-vector-times-row
-// scoring (the layered top-k index, the shard prescreen) and simplex
-// pivot row elimination (the LP substrate). It is a leaf package — no
+// scoring (the layered top-k index) and simplex pivot row elimination
+// (the LP substrate). It is a leaf package — no
 // imports beyond the standard library — so both internal/geom and
 // internal/lp can sit on top of it.
 //
@@ -31,10 +31,10 @@
 //     folded as (s0+s1)+(s2+s3). Blocking happens only ACROSS rows:
 //     processing four rows per trip changes instruction interleaving,
 //     never any row's own accumulation tree.
-//   - Componentwise extrema are order-insensitive only under a fixed
-//     comparison direction; the kernels keep the scalar's exact
-//     strictly-greater (strictly-less) update per column in row order,
-//     so ties, -0 vs +0, and NaN behavior match the reference.
+//   - Componentwise maxima are order-insensitive only under a fixed
+//     comparison direction; the kernel keeps the scalar's exact
+//     strictly-greater update per column in row order, so ties, -0 vs
+//     +0, and NaN behavior match the reference.
 //   - Pivot row updates (scale, subtract-scaled) are elementwise with
 //     no cross-element accumulation, so unrolling is trivially exact.
 //     What would NOT be exact is folding the pivot-row scale into the
@@ -51,10 +51,10 @@
 //
 // # Dispatch
 //
-// DotRows, RowMax, and RowMin dispatch once per call (per matrix, not
-// per row) on the column count, with dedicated fully-unrolled variants
-// for the d ∈ {3, 4, 5, 8} the workloads use and a 4-row-blocked
-// generic path for the rest. The differential fuzzers in this package
+// DotRows and RowMax dispatch once per call (per matrix, not per row)
+// on the column count, with dedicated fully-unrolled variants for the
+// d ∈ {3, 4, 5, 8} the workloads use and a 4-row-blocked generic path
+// for the rest. The differential fuzzers in this package
 // (FuzzKernel*) pin fast-vs-scalar byte identity over arbitrary float
 // bit patterns; see also lp's pivot parity fuzzer.
 package kern
@@ -270,21 +270,6 @@ func RowMax(flat []float64, d int, max []float64) {
 	}
 }
 
-// RowMin is the componentwise-minimum counterpart of RowMax,
-// bit-identical to RowMinScalar. min must not alias flat.
-func RowMin(flat []float64, d int, min []float64) {
-	switch d {
-	case 3:
-		rowMin3(flat, min)
-	case 4:
-		rowMin4(flat, min)
-	case 5:
-		rowMin5(flat, min)
-	default:
-		rowMinBlocked(flat, d, min)
-	}
-}
-
 func rowMax3(flat, max []float64) {
 	m0, m1, m2 := max[0], max[1], max[2]
 	n := len(flat) / 3
@@ -480,203 +465,6 @@ func rowMaxBlocked(flat []float64, d int, max []float64) {
 		for j, x := range f {
 			if x > max[j] {
 				max[j] = x
-			}
-		}
-	}
-}
-
-func rowMin3(flat, min []float64) {
-	m0, m1, m2 := min[0], min[1], min[2]
-	n := len(flat) / 3
-	r := 0
-	for ; r+4 <= n; r += 4 {
-		f := flat[r*3 : r*3+12]
-		if f[0] < m0 {
-			m0 = f[0]
-		}
-		if f[1] < m1 {
-			m1 = f[1]
-		}
-		if f[2] < m2 {
-			m2 = f[2]
-		}
-		if f[3] < m0 {
-			m0 = f[3]
-		}
-		if f[4] < m1 {
-			m1 = f[4]
-		}
-		if f[5] < m2 {
-			m2 = f[5]
-		}
-		if f[6] < m0 {
-			m0 = f[6]
-		}
-		if f[7] < m1 {
-			m1 = f[7]
-		}
-		if f[8] < m2 {
-			m2 = f[8]
-		}
-		if f[9] < m0 {
-			m0 = f[9]
-		}
-		if f[10] < m1 {
-			m1 = f[10]
-		}
-		if f[11] < m2 {
-			m2 = f[11]
-		}
-	}
-	for ; r < n; r++ {
-		f := flat[r*3 : r*3+3]
-		if f[0] < m0 {
-			m0 = f[0]
-		}
-		if f[1] < m1 {
-			m1 = f[1]
-		}
-		if f[2] < m2 {
-			m2 = f[2]
-		}
-	}
-	min[0], min[1], min[2] = m0, m1, m2
-}
-
-func rowMin4(flat, min []float64) {
-	m0, m1, m2, m3 := min[0], min[1], min[2], min[3]
-	n := len(flat) / 4
-	r := 0
-	for ; r+2 <= n; r += 2 {
-		f := flat[r*4 : r*4+8]
-		if f[0] < m0 {
-			m0 = f[0]
-		}
-		if f[1] < m1 {
-			m1 = f[1]
-		}
-		if f[2] < m2 {
-			m2 = f[2]
-		}
-		if f[3] < m3 {
-			m3 = f[3]
-		}
-		if f[4] < m0 {
-			m0 = f[4]
-		}
-		if f[5] < m1 {
-			m1 = f[5]
-		}
-		if f[6] < m2 {
-			m2 = f[6]
-		}
-		if f[7] < m3 {
-			m3 = f[7]
-		}
-	}
-	if r < n {
-		f := flat[r*4 : r*4+4]
-		if f[0] < m0 {
-			m0 = f[0]
-		}
-		if f[1] < m1 {
-			m1 = f[1]
-		}
-		if f[2] < m2 {
-			m2 = f[2]
-		}
-		if f[3] < m3 {
-			m3 = f[3]
-		}
-	}
-	min[0], min[1], min[2], min[3] = m0, m1, m2, m3
-}
-
-func rowMin5(flat, min []float64) {
-	m0, m1, m2, m3, m4 := min[0], min[1], min[2], min[3], min[4]
-	n := len(flat) / 5
-	r := 0
-	for ; r+2 <= n; r += 2 {
-		f := flat[r*5 : r*5+10]
-		if f[0] < m0 {
-			m0 = f[0]
-		}
-		if f[1] < m1 {
-			m1 = f[1]
-		}
-		if f[2] < m2 {
-			m2 = f[2]
-		}
-		if f[3] < m3 {
-			m3 = f[3]
-		}
-		if f[4] < m4 {
-			m4 = f[4]
-		}
-		if f[5] < m0 {
-			m0 = f[5]
-		}
-		if f[6] < m1 {
-			m1 = f[6]
-		}
-		if f[7] < m2 {
-			m2 = f[7]
-		}
-		if f[8] < m3 {
-			m3 = f[8]
-		}
-		if f[9] < m4 {
-			m4 = f[9]
-		}
-	}
-	if r < n {
-		f := flat[r*5 : r*5+5]
-		if f[0] < m0 {
-			m0 = f[0]
-		}
-		if f[1] < m1 {
-			m1 = f[1]
-		}
-		if f[2] < m2 {
-			m2 = f[2]
-		}
-		if f[3] < m3 {
-			m3 = f[3]
-		}
-		if f[4] < m4 {
-			m4 = f[4]
-		}
-	}
-	min[0], min[1], min[2], min[3], min[4] = m0, m1, m2, m3, m4
-}
-
-func rowMinBlocked(flat []float64, d int, min []float64) {
-	n := len(flat) / d
-	r := 0
-	for ; r+4 <= n; r += 4 {
-		f := flat[r*d : r*d+4*d]
-		for j := 0; j < d; j++ {
-			m := min[j]
-			if v := f[j]; v < m {
-				m = v
-			}
-			if v := f[d+j]; v < m {
-				m = v
-			}
-			if v := f[2*d+j]; v < m {
-				m = v
-			}
-			if v := f[3*d+j]; v < m {
-				m = v
-			}
-			min[j] = m
-		}
-	}
-	for ; r < n; r++ {
-		f := flat[r*d : r*d+d]
-		for j, x := range f {
-			if x < min[j] {
-				min[j] = x
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 package kern
 
 // This file holds the scalar reference kernels: verbatim copies of the
-// historical loops the fast paths replaced (geom.DotRows / RowMax /
-// RowMin as of the layered-index PR, and geom's dot). The engine never
+// historical loops the fast paths replaced (geom.DotRows / RowMax as of
+// the layered-index PR, and geom's dot). The engine never
 // runs them; they are what the differential tests, fuzzers, and
 // benchmarks in this package (and mirbench's scan-wall sweep) compare
 // the fast kernels against — so they must never be "improved"; any
@@ -73,18 +73,6 @@ func RowMaxScalar(flat []float64, d int, max []float64) {
 		for j, x := range row {
 			if x > max[j] {
 				max[j] = x
-			}
-		}
-	}
-}
-
-// RowMinScalar is the historical RowMin loop.
-func RowMinScalar(flat []float64, d int, min []float64) {
-	for off := 0; off+d <= len(flat); off += d {
-		row := flat[off : off+d : off+d]
-		for j, x := range row {
-			if x < min[j] {
-				min[j] = x
 			}
 		}
 	}

@@ -67,23 +67,6 @@ type Options struct {
 	// EXPERIMENTS.md numbers were measured that way). Regions, placements,
 	// and coverage counts are identical for every setting.
 	Workers int
-	// Shards pre-splits product space into 2^j disjoint axis-aligned
-	// boxes (the largest power of two <= Shards) and runs a fully
-	// independent impact-region build per box: its own arrangement,
-	// scheduler, and stats, with the box's halfspace set prescreened by
-	// banded corner bounds so a shard only classifies halfspaces whose
-	// boundary can intersect its box. Shard regions concatenate in
-	// shard-ID order. 0 or 1 (the default) selects the single-tree build.
-	// Sharding applies to one-shot region computation (ImpactRegion and
-	// the queries built on it); Monitor maintenance always builds
-	// single-tree.
-	//
-	// For a fixed shard count the result is byte-identical for every
-	// Workers setting, and Shards <= 1 is byte-identical to the unsharded
-	// build. Across shard counts the region covers exactly the same point
-	// set, but its cell decomposition differs (shard boundaries are
-	// midplane cuts the unsharded arrangement never makes).
-	Shards int
 	// Strategy selects which pending user group is opened first when a
 	// cell remains undecided; see the Strategy constants.
 	Strategy Strategy
@@ -115,7 +98,6 @@ func (o *Options) toCore() core.Options {
 	}
 	return core.Options{
 		Workers:           o.Workers,
-		Shards:            o.Shards,
 		GroupChoice:       core.GroupChoice(o.Strategy),
 		DisableFastTest:   o.DisableFastTests,
 		DisableInnerGroup: o.DisableInnerGroupProcessing,

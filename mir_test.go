@@ -243,7 +243,6 @@ func TestOptionsPlumbed(t *testing.T) {
 		{Strategy: RoundRobin},
 		{DisableFastTests: true, DisableInnerGroupProcessing: true},
 		{Disable2DSpecialization: true, DisableGrouping: true},
-		{Shards: 4},
 	} {
 		a, err := NewAnalyzer(ps, us, opts)
 		if err != nil {

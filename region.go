@@ -29,14 +29,6 @@ func (r *Region) Contains(point []float64) bool {
 // NumCells returns the number of convex cells forming the region.
 func (r *Region) NumCells() int { return len(r.reg.Cells) }
 
-// ShardCells returns the arrangement-cell count each shard of a
-// space-sharded build created, in shard-ID order, or nil for single-tree
-// runs. Deterministic for a fixed shard count; the total/max ratio is the
-// parallel-speedup bound the shard decomposition admits.
-func (r *Region) ShardCells() []int {
-	return append([]int(nil), r.reg.ShardCells...)
-}
-
 // IsEmpty reports whether the region is empty (possible only in
 // restricted search boxes; over the full product space the top corner
 // always covers every user).
@@ -144,15 +136,6 @@ type Stats struct {
 	// classified on some leaf. It must stay zero; a nonzero value signals
 	// cell counts drifting from the alive population.
 	CountDesyncs int64
-	// ShardHalfspaces and PrescreenedOut profile the space-sharded build
-	// (zero on single-tree runs). Summed over shards: PrescreenedOut
-	// counts halfspaces the banded box-corner prescreen absorbed at a
-	// shard root (their boundary provably misses the shard box), and
-	// ShardHalfspaces counts the survivors that entered the shard's
-	// pending views. Their sum is Shards × |U|; both are deterministic
-	// for a fixed shard count.
-	ShardHalfspaces int64
-	PrescreenedOut  int64
 	// StealCount and MaxFrontier profile the task-parallel frontier
 	// scheduler (zero for sequential runs). Unlike the counters above they
 	// are scheduling-sensitive: they vary run to run at Workers > 1.
@@ -183,8 +166,6 @@ func (r *Region) Stats() Stats {
 		SkippedSubtrees:  s.SkippedSubtrees,
 		TouchedFrontier:  s.TouchedFrontier,
 		CountDesyncs:     s.CountDesyncs,
-		ShardHalfspaces:  s.ShardHalfspaces,
-		PrescreenedOut:   s.PrescreenedOut,
 		StealCount:       s.StealCount,
 		MaxFrontier:      s.MaxFrontier,
 	}
