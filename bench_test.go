@@ -239,7 +239,7 @@ func BenchmarkFig17aGroupStrategy(b *testing.B) {
 		s    Strategy
 	}{{"largest", LargestFirst}, {"smallest", SmallestFirst}, {"round-robin", RoundRobin}} {
 		b.Run(v.name, func(b *testing.B) {
-			an := benchAnalyzer(b, Independent, Clustered, benchP, benchU, benchD, benchK, &Options{Strategy: v.s})
+			an := benchAnalyzer(b, Independent, Clustered, benchP, benchU, benchD, benchK, &Options{Workers: 1, Strategy: v.s})
 			runRegion(b, an, benchU/2)
 		})
 	}

@@ -25,8 +25,8 @@ func fig16a(cfg config) {
 		inst := cfg.instance("IND", "CL", cfg.nP, nU, 2, cfg.k, int64(160+int(10*mul)))
 		m := mOf(0.5, len(inst.Users))
 		var spec, gen *core.Region
-		sSecs := timeIt(func() { spec = mustAA(inst, m, core.Options{}) })
-		gSecs := timeIt(func() { gen = mustAA(inst, m, core.Options{Disable2D: true}) })
+		sSecs := timeIt(func() { spec = mustAA(inst, m, core.Options{Workers: 1}) })
+		gSecs := timeIt(func() { gen = mustAA(inst, m, core.Options{Workers: 1, Disable2D: true}) })
 		row(len(inst.Users), sSecs, spec.Stats.Cells, gSecs, gen.Stats.Cells)
 	}
 }
@@ -37,8 +37,8 @@ func fig16b(cfg config) {
 	for _, frac := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
 		m := mOf(frac, len(inst.Users))
 		var with, without *core.Region
-		wSecs := timeIt(func() { with = mustAA(inst, m, core.Options{}) })
-		oSecs := timeIt(func() { without = mustAA(inst, m, core.Options{DisableInnerGroup: true}) })
+		wSecs := timeIt(func() { with = mustAA(inst, m, core.Options{Workers: 1}) })
+		oSecs := timeIt(func() { without = mustAA(inst, m, core.Options{Workers: 1, DisableInnerGroup: true}) })
 		row(frac, wSecs, with.Stats.ContainmentTests, oSecs, without.Stats.ContainmentTests)
 	}
 }
@@ -48,8 +48,8 @@ func fig16c(cfg config) {
 	header("m/|U|", "with(s)", "without(s)", "speedup")
 	for _, frac := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
 		m := mOf(frac, len(inst.Users))
-		wSecs := timeIt(func() { mustAA(inst, m, core.Options{}) })
-		oSecs := timeIt(func() { mustAA(inst, m, core.Options{DisableFastTest: true}) })
+		wSecs := timeIt(func() { mustAA(inst, m, core.Options{Workers: 1}) })
+		oSecs := timeIt(func() { mustAA(inst, m, core.Options{Workers: 1, DisableFastTest: true}) })
 		row(frac, wSecs, oSecs, oSecs/wSecs)
 	}
 }
@@ -60,7 +60,7 @@ func fig16d(cfg config) {
 		inst := cfg.instance("IND", kind, cfg.nP, cfg.nU, cfg.d, cfg.k, 175)
 		for _, frac := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
 			m := mOf(frac, len(inst.Users))
-			reg := mustAA(inst, m, core.Options{})
+			reg := mustAA(inst, m, core.Options{Workers: 1})
 			st := reg.Stats
 			total := float64(st.Cells)
 			rep := 100 * float64(st.EarlyReported) / total
@@ -75,9 +75,9 @@ func fig17a(cfg config) {
 	header("m/|U|", "largest(s)", "smallest(s)", "round-robin(s)")
 	for _, frac := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
 		m := mOf(frac, len(inst.Users))
-		l := timeIt(func() { mustAA(inst, m, core.Options{GroupChoice: core.LargestGroup}) })
-		s := timeIt(func() { mustAA(inst, m, core.Options{GroupChoice: core.SmallestGroup}) })
-		r := timeIt(func() { mustAA(inst, m, core.Options{GroupChoice: core.RoundRobinGroup}) })
+		l := timeIt(func() { mustAA(inst, m, core.Options{Workers: 1, GroupChoice: core.LargestGroup}) })
+		s := timeIt(func() { mustAA(inst, m, core.Options{Workers: 1, GroupChoice: core.SmallestGroup}) })
+		r := timeIt(func() { mustAA(inst, m, core.Options{Workers: 1, GroupChoice: core.RoundRobinGroup}) })
 		row(frac, l, s, r)
 	}
 }
@@ -103,7 +103,7 @@ func fig17b(cfg config) {
 		gs := inst.GroupStats()
 		for _, frac := range []float64{0.3, 0.5, 0.7} {
 			m := mOf(frac, len(inst.Users))
-			secs := timeIt(func() { mustAA(inst, m, core.Options{}) })
+			secs := timeIt(func() { mustAA(inst, m, core.Options{Workers: 1}) })
 			row(v.name, frac, secs, gs.NumGroups)
 		}
 	}

@@ -59,7 +59,7 @@ func main() {
 	flag.Parse()
 
 	// The engine sizes its worker pools from GOMAXPROCS, so capping it here
-	// bounds both the preprocessing fan-out and the AA classification pool.
+	// bounds both the preprocessing fan-out and the AA frontier's workers.
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
 	}

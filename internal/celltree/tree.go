@@ -211,18 +211,6 @@ type Stats struct {
 	LP lp.Counters
 }
 
-// MergeTests adds o's classification counters (fast tests, fast hits, LP
-// containment tests) into s. Parallel classification accumulates counters
-// into per-worker Stats values and merges them here after the join; the
-// merge is a sum, so totals are deterministic for any worker count and
-// scheduling.
-func (s *Stats) MergeTests(o Stats) {
-	s.FastTests += o.FastTests
-	s.FastHits += o.FastHits
-	s.ContainmentTests += o.ContainmentTests
-	s.LP.Add(o.LP)
-}
-
 // Merge folds every counter of o into s: sums throughout, except MaxDepth
 // which merges by maximum. Both operations are commutative and
 // associative, so merging per-worker shard stats in any order yields the
@@ -383,10 +371,9 @@ func (c *Cell) FastClassify(h geom.Halfspace) (rel geom.Relation, conclusive boo
 }
 
 // FastClassifyInto is FastClassify with the test counters accumulated into
-// st instead of the tree's shared Stats. It reads only immutable cell
-// state (the cached bounding box), so any number of goroutines may run it
-// against the same cell concurrently, each with its own st; merge the
-// per-worker counters afterward with Stats.MergeTests.
+// st instead of the tree's shared Stats — normally a worker shard's
+// accumulator (Shard.Stats), folded back by AbsorbShard. It reads only
+// immutable cell state (the cached bounding box).
 func (c *Cell) FastClassifyInto(h geom.Halfspace, st *Stats) (rel geom.Relation, conclusive bool) {
 	st.FastTests++
 	lo, hi := 0.0, 0.0
@@ -417,11 +404,12 @@ func (c *Cell) Classify(h geom.Halfspace, useFast bool) geom.Relation {
 }
 
 // ClassifyInto is Classify with the test counters accumulated into st
-// instead of the tree's shared Stats, enabling concurrent classification
-// of one cell by multiple goroutines. Callers fanning out MUST call
-// Prewarm on the cell first, so the lazily cached H-representation is
-// materialized before being read concurrently; the LP scratch state
-// itself is pooled per-goroutine (sync.Pool) and safe.
+// instead of the tree's shared Stats — normally a worker shard's
+// accumulator (Shard.Stats), folded back by AbsorbShard — so workers
+// processing disjoint cells classify concurrently without sharing a
+// counter. A cell is classified only by the goroutine processing it, so
+// its lazily cached H-representation needs no guard; the LP scratch state
+// is pooled per goroutine (sync.Pool).
 func (c *Cell) ClassifyInto(h geom.Halfspace, useFast bool, st *Stats) geom.Relation {
 	if useFast {
 		if rel, ok := c.FastClassifyInto(h, st); ok {
@@ -437,13 +425,6 @@ func (c *Cell) ClassifyInto(h geom.Halfspace, useFast bool, st *Stats) geom.Rela
 	}
 	return c.Polytope().ClassifyCounted(h, &st.LP)
 }
-
-// Prewarm materializes the cell's cached H-representation (and, through
-// the recursion, every ancestor's). Polytope() caches lazily on first use,
-// which would race under concurrent classification; calling Prewarm from a
-// single goroutine before fanning out makes subsequent Polytope() calls
-// read-only.
-func (c *Cell) Prewarm() { _ = c.Polytope() }
 
 // SplitBy divides the leaf by h's boundary hyperplane using the tree's
 // built-in sequential shard; see Shard.SplitBy.

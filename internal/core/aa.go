@@ -105,16 +105,15 @@ type aaRun struct {
 
 // aaWorker is the per-goroutine execution context of the AA loop: the
 // reusable scratch buffers of the per-cell hot paths, a celltree.Shard for
-// subtree mutation, a private core-Stats accumulator, and the intra-cell
-// fan-out degree. The sequential loop owns exactly one (fanout = Workers,
-// shard = the tree's own); the frontier runs one per worker goroutine
-// (fanout = 1 — parallelism comes from concurrent cells, not concurrent
-// members) and merges shards and stats after the join.
+// subtree mutation, and a private core-Stats accumulator. One goroutine
+// processes a cell from start to finish. The sequential loop owns exactly
+// one worker (shard = the tree's own); the frontier runs one per worker
+// goroutine — parallelism comes from concurrent cells — and merges shards
+// and stats after the join.
 type aaWorker struct {
-	r      *aaRun
-	sh     *celltree.Shard
-	st     *Stats
-	fanout int
+	r  *aaRun
+	sh *celltree.Shard
+	st *Stats
 
 	leavesBuf []*celltree.Cell
 	isHullBuf []bool
@@ -135,7 +134,7 @@ func (r *aaRun) workers() int { return par.Resolve(r.opts.Workers) }
 
 // seedRoot attaches the full group list to the root and queues it.
 func (r *aaRun) seedRoot() {
-	r.seq = &aaWorker{r: r, sh: r.tr.OwnShard(), st: &r.st, fanout: r.workers()}
+	r.seq = &aaWorker{r: r, sh: r.tr.OwnShard(), st: &r.st}
 	r.tr.Prune = !r.opts.DisablePruning
 	r.tr.WarmStart = !r.opts.DisableWarmStart
 	root := r.tr.Root
@@ -338,17 +337,10 @@ func (w *aaWorker) reportCell(c *celltree.Cell) {
 
 // update is Algorithm 2's Update: test every pending group against the
 // cell via Lemmas 3 and 4 and absorb fully-covering / fully-excluded
-// groups into the counts. With an intra-cell fan-out the per-view
-// relations are precomputed concurrently (they are mutually independent);
-// absorption stays sequential so InCount/OutCount, the early-exit point,
-// and the surviving view order are identical to the sequential execution.
+// groups into the counts, stopping as soon as the cell is decided.
 func (w *aaWorker) update(c *celltree.Cell) {
 	r := w.r
 	cg := c.Payload.(*cellGroups)
-	if w.fanout > 1 && len(cg.views) > 1 {
-		w.absorb(c, cg, w.relationsParallel(c, cg))
-		return
-	}
 	for vi := 0; vi < len(cg.views); {
 		switch w.groupRelation(c, cg.views[vi]) {
 		case geom.Covers:
@@ -371,73 +363,13 @@ func (w *aaWorker) update(c *celltree.Cell) {
 	}
 }
 
-// relationsParallel classifies every pending view against the cell
-// concurrently, returning the relations indexed like cg.views. Test
-// counters accumulate into per-goroutine Stats and merge by summation, so
-// they are deterministic for any fan-out; classification the sequential
-// loop would have skipped after an early exit is wasted rather than
-// skipped, so the counters can exceed the fanout == 1 numbers.
-func (w *aaWorker) relationsParallel(c *celltree.Cell, cg *cellGroups) []geom.Relation {
-	c.Prewarm()
-	workers := w.fanout
-	rels := make([]geom.Relation, len(cg.views))
-	stats := make([]celltree.Stats, workers)
-	par.ForWorker(len(cg.views), workers, func(g, i int) {
-		rels[i] = w.groupRelationInto(c, cg.views[i], &stats[g])
-	})
-	for _, s := range stats {
-		w.sh.Stats().MergeTests(s)
-	}
-	return rels
-}
-
-// absorb replays the sequential absorption loop of update over
-// precomputed relations, mirroring cg.remove's swap-with-last on the
-// relation slice so the two stay aligned.
-func (w *aaWorker) absorb(c *celltree.Cell, cg *cellGroups, rels []geom.Relation) {
-	r := w.r
-	drop := func(vi int) {
-		cg.remove(vi)
-		last := len(rels) - 1
-		rels[vi] = rels[last]
-		rels = rels[:last]
-	}
-	for vi := 0; vi < len(cg.views); {
-		switch rels[vi] {
-		case geom.Covers:
-			c.InCount += len(cg.views[vi].members)
-			drop(vi)
-			w.st.GroupBatchHits++
-			if r.mode == modeMIR && c.InCount >= r.m {
-				return
-			}
-		case geom.Excludes:
-			c.OutCount += len(cg.views[vi].members)
-			drop(vi)
-			w.st.GroupBatchHits++
-			if r.mode == modeMIR && r.nU-c.OutCount < r.m {
-				return
-			}
-		default:
-			vi++
-		}
-	}
-}
-
 // groupRelation decides whether every member of the view covers the cell
 // (Lemma 3), every member excludes it (Lemma 4), or neither, accumulating
-// test counters into the worker's shard.
+// test counters into the worker's shard. The fast path is the dominance
+// test of Section 5.3: if the cell's MBB min-corner dominates the group's
+// common top-k-th product r, every product in the cell outscores r for
+// every user; symmetrically for the max-corner.
 func (w *aaWorker) groupRelation(c *celltree.Cell, v *view) geom.Relation {
-	return w.groupRelationInto(c, v, w.sh.Stats())
-}
-
-// groupRelationInto is groupRelation with the test counters accumulated
-// into st, so concurrent classifications of distinct views against a
-// prewarmed cell are race-free. The fast path is the dominance test of
-// Section 5.3: if the cell's MBB min-corner dominates the group's common
-// top-k-th product r, every product in the cell outscores r for every
-// user; symmetrically for the max-corner.
-func (w *aaWorker) groupRelationInto(c *celltree.Cell, v *view, st *celltree.Stats) geom.Relation {
 	r := w.r
 	if r.fast() {
 		if c.MBBLo.WeakDominates(v.g.R) {
@@ -450,7 +382,7 @@ func (w *aaWorker) groupRelationInto(c *celltree.Cell, v *view, st *celltree.Sta
 	allCover, allExclude := true, true
 	for _, pos := range v.hullPositions(r.inst) {
 		h := r.inst.HS[v.members[pos]]
-		switch c.ClassifyInto(h, r.fast(), st) {
+		switch c.ClassifyInto(h, r.fast(), w.sh.Stats()) {
 		case geom.Covers:
 			allExclude = false
 		case geom.Excludes:
@@ -529,10 +461,9 @@ func (w *aaWorker) insertGroup(c *celltree.Cell, cg *cellGroups, vi int) *cellGr
 	} else {
 		gc, ge, gi = w.classifyByHull(c, v)
 	}
-	// The position lists live in the worker's scratch (the parallel
-	// classification path returns fresh slices; storing those back just
-	// grows the scratch). Nothing below retains them: member lists are
-	// copied out before they land in views.
+	// The position lists live in the worker's scratch; store them back so
+	// appends that grew them are kept. Nothing below retains them: member
+	// lists are copied out before they land in views.
 	w.gcBuf, w.geBuf, w.giBuf = gc[:0], ge[:0], gi[:0]
 	// Keep positions ascending: views inherit the group's member ordering
 	// (descending w[1] for d = 2, where the hull-extremes shortcut depends
@@ -600,13 +531,8 @@ func (w *aaWorker) insertGroup(c *celltree.Cell, cg *cellGroups, vi int) *cellGr
 // Section 5.2: classify the hull vertices with geometric tests, then place
 // interior members by convex-hull membership (Lemmas 3/4 make any member
 // inside conv of covering vertices covering, and likewise for excluded).
-// Members are pre-filtered with the O(d) MBB test. Large views fan their
-// per-member classification (MBB pre-tests and hull-membership LPs) across
-// the worker's fan-out; see classifyByHullParallel.
+// Members are pre-filtered with the O(d) MBB test.
 func (w *aaWorker) classifyByHull(c *celltree.Cell, v *view) (gc, ge, gi []int) {
-	if w.fanout > 1 && len(v.members) >= minParallelMembers {
-		return w.classifyByHullParallel(c, v)
-	}
 	r := w.r
 	inst := r.inst
 	hullPos := v.hullPositions(inst)
@@ -655,106 +581,6 @@ func (w *aaWorker) classifyByHull(c *celltree.Cell, v *view) (gc, ge, gi []int) 
 		case len(vcPts) > 0 && w.inHull(inst.WProj[ui], vcPts):
 			gc = append(gc, pos)
 		case len(vePts) > 0 && w.inHull(inst.WProj[ui], vePts):
-			ge = append(ge, pos)
-		default:
-			gi = append(gi, pos)
-		}
-	}
-	return gc, ge, gi
-}
-
-// minParallelMembers gates the per-member fan-out of classifyByHull: below
-// this size the goroutine handoff costs more than the LPs it spreads.
-const minParallelMembers = 4
-
-// classifyByHullParallel is classifyByHull with both stages fanned across
-// the worker's fan-out: first the hull vertices are classified
-// concurrently, then — once the covering/excluding vertex hulls are fixed
-// — the interior members run their MBB pre-tests and hull-membership LPs
-// concurrently. Results are materialized per position and appended in the
-// sequential iteration order, so gc/ge/gi (and every downstream decision)
-// are identical to the sequential classification for any fan-out.
-func (w *aaWorker) classifyByHullParallel(c *celltree.Cell, v *view) (gc, ge, gi []int) {
-	r := w.r
-	inst := r.inst
-	workers := w.fanout
-	c.Prewarm()
-	hullPos := v.hullPositions(inst)
-	stats := make([]celltree.Stats, workers)
-
-	// Stage 1: the hull vertices, via full geometric tests.
-	hullRel := make([]geom.Relation, len(hullPos))
-	par.ForWorker(len(hullPos), workers, func(g, i int) {
-		hullRel[i] = c.ClassifyInto(inst.HS[v.members[hullPos[i]]], r.fast(), &stats[g])
-	})
-	isHull := make(map[int]bool, len(hullPos))
-	var vc, ve []int
-	for i, pos := range hullPos {
-		isHull[pos] = true
-		switch hullRel[i] {
-		case geom.Covers:
-			gc = append(gc, pos)
-			vc = append(vc, pos)
-		case geom.Excludes:
-			ge = append(ge, pos)
-			ve = append(ve, pos)
-		default:
-			gi = append(gi, pos)
-		}
-	}
-	var vcPts, vePts []geom.Vector
-	for _, pos := range vc {
-		vcPts = append(vcPts, inst.WProj[v.members[pos]])
-	}
-	for _, pos := range ve {
-		vePts = append(vePts, inst.WProj[v.members[pos]])
-	}
-
-	// Stage 2: interior members against the now-fixed vertex hulls.
-	memRel := make([]geom.Relation, len(v.members))
-	hullTests := make([]int, workers)
-	hullLP := make([]lp.Counters, workers)
-	par.ForWorker(len(v.members), workers, func(g, pos int) {
-		if isHull[pos] {
-			return
-		}
-		ui := v.members[pos]
-		if r.fast() {
-			if rel, ok := c.FastClassifyInto(inst.HS[ui], &stats[g]); ok {
-				memRel[pos] = rel
-				return
-			}
-		}
-		switch {
-		case len(vcPts) > 0 && func() bool {
-			hullTests[g]++
-			return geom.InConvexHullCounted(inst.WProj[ui], vcPts, &hullLP[g])
-		}():
-			memRel[pos] = geom.Covers
-		case len(vePts) > 0 && func() bool {
-			hullTests[g]++
-			return geom.InConvexHullCounted(inst.WProj[ui], vePts, &hullLP[g])
-		}():
-			memRel[pos] = geom.Excludes
-		default:
-			memRel[pos] = geom.Cuts
-		}
-	})
-	for _, s := range stats {
-		w.sh.Stats().MergeTests(s)
-	}
-	for g, n := range hullTests {
-		w.st.HullTests += n
-		w.st.addLP(hullLP[g])
-	}
-	for pos := range v.members {
-		if isHull[pos] {
-			continue
-		}
-		switch memRel[pos] {
-		case geom.Covers:
-			gc = append(gc, pos)
-		case geom.Excludes:
 			ge = append(ge, pos)
 		default:
 			gi = append(gi, pos)

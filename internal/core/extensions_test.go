@@ -222,16 +222,25 @@ func TestSolveISZeroBudget(t *testing.T) {
 }
 
 // TestSolveBudgetedCO: maximum-coverage creation under budget, checked
-// against a sampling oracle.
+// against a sampling oracle. The search is identical at every worker
+// count — point, cost, coverage and Stats.
 func TestSolveBudgetedCO(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 4; trial++ {
 		d := 2 + trial%2
 		inst := randomInstance(t, rng, 150, 16, d, 5)
 		budget := 0.6 + 0.3*rng.Float64()
-		res, err := SolveBudgetedCO(inst, budget, L2Cost{}, Options{})
+		res, err := SolveBudgetedCO(inst, budget, L2Cost{}, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
+		}
+		res4, err := SolveBudgetedCO(inst, budget, L2Cost{}, Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameVector(res.Point, res4.Point) || res.Cost != res4.Cost ||
+			res.Coverage != res4.Coverage || res.Stats != res4.Stats {
+			t.Fatalf("trial %d: workers 1 and 4 differ:\n%+v\n%+v", trial, res, res4)
 		}
 		if res.Cost > budget+1e-6 {
 			t.Errorf("trial %d: cost %g > budget %g", trial, res.Cost, budget)
@@ -312,22 +321,34 @@ func TestISFindsClusterUpgrade(t *testing.T) {
 }
 
 // TestSolveCOBestFirstMatchesTwoPhase: the cost-directed CO search must
-// find exactly the optimum the region-based solver finds.
+// find exactly the optimum the region-based solver finds, and each solver
+// returns the bit-identical point, cost and coverage at every worker
+// count.
 func TestSolveCOBestFirstMatchesTwoPhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	solve := func(trial int, name string, fn func(Options) (*COResult, error)) *COResult {
+		t.Helper()
+		res, err := fn(Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res4, err := fn(Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameVector(res.Point, res4.Point) || res.Cost != res4.Cost || res.Coverage != res4.Coverage {
+			t.Fatalf("trial %d %s: workers 1 gives %v cost %v coverage %d, workers 4 gives %v cost %v coverage %d",
+				trial, name, res.Point, res.Cost, res.Coverage, res4.Point, res4.Cost, res4.Coverage)
+		}
+		return res
+	}
 	for trial := 0; trial < 8; trial++ {
 		d := 2 + trial%3
 		nU := 14 + 2*trial
 		inst := randomInstance(t, rng, 250, nU, d, 1+trial%5)
 		m := 3 + rng.Intn(nU-4)
-		slow, err := SolveCO(inst, m, L2Cost{}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := SolveCOBestFirst(inst, m, L2Cost{}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		slow := solve(trial, "two-phase", func(o Options) (*COResult, error) { return SolveCO(inst, m, L2Cost{}, o) })
+		fast := solve(trial, "best-first", func(o Options) (*COResult, error) { return SolveCOBestFirst(inst, m, L2Cost{}, o) })
 		if math.Abs(slow.Cost-fast.Cost) > 1e-5 {
 			t.Errorf("trial %d (d=%d m=%d): two-phase %g vs best-first %g",
 				trial, d, m, slow.Cost, fast.Cost)
@@ -353,4 +374,17 @@ func TestSolveCOBestFirstL1(t *testing.T) {
 	if math.Abs(slow.Cost-fast.Cost) > 1e-5 {
 		t.Errorf("L1: two-phase %g vs best-first %g", slow.Cost, fast.Cost)
 	}
+}
+
+// sameVector reports whether a and b hold bit-identical coordinates.
+func sameVector(a, b geom.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -68,11 +68,7 @@ func (r *aaRun) runFrontier(workers int) {
 	}
 	ws := make([]*aaWorker, workers)
 	for i := range ws {
-		// fanout 1: frontier workers keep each cell's processing
-		// single-goroutine (parallelism comes from concurrent cells), which
-		// also keeps the raw test counters exactly equal to the sequential
-		// run's (no wasted-work divergence past early-exit points).
-		ws[i] = &aaWorker{r: r, sh: r.tr.NewShard(), st: &Stats{}, fanout: 1}
+		ws[i] = &aaWorker{r: r, sh: r.tr.NewShard(), st: &Stats{}}
 	}
 	fs := par.RunFrontier(workers, seeds, pris, func(fw *par.FrontierWorker[*celltree.Cell], c *celltree.Cell) {
 		ws[fw.ID()].processCell(c, fw.Push)

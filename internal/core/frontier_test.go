@@ -12,10 +12,9 @@ import (
 // determinism contract at full strength: for every worker count, the
 // finished arrangement — leaf IDs, statuses, counts, depths — and the
 // exported region are byte-identical to the sequential run, and every
-// Stats counter matches exactly (frontier workers process cells with
-// fan-out 1, so even the raw test counters cannot diverge). Only
-// StealCount and MaxFrontier, which profile the schedule itself, are
-// exempt.
+// Stats counter matches exactly (one goroutine processes each cell, so
+// even the raw test counters cannot diverge). Only StealCount and
+// MaxFrontier, which profile the schedule itself, are exempt.
 func TestFrontierParallelByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cases := []struct {

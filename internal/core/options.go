@@ -26,15 +26,16 @@ const (
 type Options struct {
 	// Workers caps the parallel execution layer threaded through the
 	// engine: the all-top-k preprocessing fan-out, instance construction
-	// (halfspace + per-group hull precomputation), and AA's concurrent
-	// batch classification of pending group views against a cell. 0 (the
+	// (halfspace + per-group hull precomputation), and the mIR-mode
+	// frontier, whose workers process disjoint arrangement cells
+	// concurrently. One goroutine always processes a cell; best-first CO,
+	// the max-coverage searches and RoundRobinGroup keep the sequential
+	// loop, so they run on one goroutine at any setting. 0 (the
 	// default) uses every core (runtime.GOMAXPROCS); 1 reproduces the
-	// original single-threaded execution exactly, byte-identical region
-	// and Stats included — ablation and EXPERIMENTS.md numbers were
-	// measured that way. The computed region is identical for every
-	// setting; with Workers > 1 only the test counters in Stats may
-	// exceed the sequential numbers (classification past a sequential
-	// early-exit point is wasted rather than skipped).
+	// original single-threaded execution exactly — ablation and
+	// EXPERIMENTS.md numbers were measured that way. The computed region
+	// and every Stats counter except StealCount and MaxFrontier are
+	// identical for every setting.
 	Workers int
 	// GroupChoice picks the insertion group (Figure 17a).
 	GroupChoice GroupChoice
@@ -111,8 +112,8 @@ type Stats struct {
 	// optimization: it is deterministic at workers=1 for a fixed
 	// configuration, but — alone among the LP counters' peers — it is NOT
 	// invariant across DisableWarmStart settings (that difference is the
-	// optimization) and, in mIR frontier mode, it IS invariant across
-	// worker counts (each cell's solve chain is cell-local).
+	// optimization), while it IS invariant across worker counts in every
+	// mode (each cell's solve chain is cell-local).
 	Pivots     int64
 	WarmHits   int64
 	WarmMisses int64

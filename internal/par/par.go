@@ -1,9 +1,10 @@
 // Package par provides the worker-pool primitives behind the engine's
 // multi-core execution layer: a Workers-option resolver shared by every
-// layer of the stack, and a chunked index fan-out with deterministic
-// assignment. The all-top-k preprocessing (internal/topk), instance
-// construction, and AA's per-cell batch classification (internal/core)
-// all fan their embarrassingly parallel loops through this package.
+// layer of the stack, a chunked index fan-out with deterministic
+// assignment, and the work-stealing frontier scheduler (steal.go). The
+// all-top-k preprocessing (internal/topk) and instance construction
+// (internal/core) fan their embarrassingly parallel loops through For and
+// ForWorker; AA's frontier runs on RunFrontier, one cell per task.
 //
 // Determinism contract: ForWorker partitions [0, n) into contiguous
 // chunks with a fixed worker→range mapping, and callers write results

@@ -60,12 +60,15 @@ type User struct {
 // paper's own ablations (Section 6.4) and exist for its figures.
 type Options struct {
 	// Workers caps the engine's parallel execution layer: the all-top-k
-	// preprocessing, instance construction, and AA's concurrent batch
-	// classification of pending user groups against arrangement cells.
-	// 0 (the default) uses every core (runtime.GOMAXPROCS); 1 reproduces
-	// the original single-threaded execution exactly (ablations and the
-	// EXPERIMENTS.md numbers were measured that way). Regions, placements,
-	// and coverage counts are identical for every setting.
+	// preprocessing, instance construction, and the impact-region build,
+	// whose workers process disjoint arrangement cells concurrently.
+	// CostOptimalFast, the budgeted searches and the RoundRobin strategy
+	// search on one goroutine at any setting. 0 (the default) uses every
+	// core (runtime.GOMAXPROCS); 1 reproduces the original
+	// single-threaded execution exactly (ablations and the EXPERIMENTS.md
+	// numbers were measured that way). Regions, placements, coverage
+	// counts and every Stats counter except StealCount and MaxFrontier
+	// are identical for every setting.
 	Workers int
 	// Strategy selects which pending user group is opened first when a
 	// cell remains undecided; see the Strategy constants.

@@ -152,8 +152,12 @@ func convert(products [][]float64, users []User) ([]geom.Vector, []topk.UserPref
 // CostOptimalFast is CostOptimal without the Region by-product: a
 // best-first, cost-directed search that explores only the cheap fringe of
 // the m-impact region and proves optimality from its cost lower bounds.
-// Exact, and usually much faster than CostOptimal; prefer it when the
-// region itself is not needed.
+// Exact, like CostOptimal, but not always faster. The best-first search
+// runs on one goroutine, since its pruning depends on a global cost
+// order, while CostOptimal builds the whole region on the multi-core
+// frontier (Options.Workers) and then scans its cells. Which one wins
+// depends on the input and the core count; measure both when the region
+// itself is not needed.
 func (a *Analyzer) CostOptimalFast(m int, cost CostModel) (*Placement, error) {
 	res, err := core.SolveCOBestFirst(a.inst, m, cost.c, a.opts)
 	if err != nil {

@@ -91,7 +91,9 @@ func (c Cell) AnyPoint() (point []float64, ok bool) {
 }
 
 // Stats exposes the work counters of the computation that produced the
-// region (cells created, splits, geometric tests, early decisions).
+// region (cells created, splits, geometric tests, early decisions). Every
+// counter except StealCount and MaxFrontier is identical for every
+// Options.Workers setting.
 type Stats struct {
 	Cells            int
 	Splits           int
@@ -136,9 +138,10 @@ type Stats struct {
 	// classified on some leaf. It must stay zero; a nonzero value signals
 	// cell counts drifting from the alive population.
 	CountDesyncs int64
-	// StealCount and MaxFrontier profile the task-parallel frontier
-	// scheduler (zero for sequential runs). Unlike the counters above they
-	// are scheduling-sensitive: they vary run to run at Workers > 1.
+	// StealCount and MaxFrontier profile the schedule: frontier steals
+	// (zero for sequential runs) and the high-water mark of in-flight
+	// cells. Unlike the counters above they are scheduling-sensitive: they
+	// vary run to run at Workers > 1.
 	StealCount  int
 	MaxFrontier int
 }
