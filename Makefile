@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race race-hammer mird-smoke perfbench-test bench-smoke fuzz-smoke bench bench-json bench-topk bench-dyn bench-check ci
+.PHONY: all vet build test race race-hammer mird-smoke perfbench-test bench-smoke fuzz-smoke bench ci
 
 all: ci
 
@@ -65,50 +65,7 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Machine-readable AA benchmark matrix (wall time, allocs/op, LP-call,
-# simplex-pivot, and scheduler counters per dataset, pruning setting,
-# warm-start setting, and worker count). CI regenerates and uploads this;
-# the committed copy is the reference point for regressions.
-bench-json:
-	$(GO) run ./cmd/mirbench -json BENCH_AA.json
-
-# Machine-readable preprocessing benchmark matrix for the indexed
-# all-top-k engine (index build time, indexed vs full-skyband wall time,
-# and the scanned-products / layer-prune counters per dataset,
-# dimensionality, and user cardinality up to 10^6). The committed copy is
-# the reference point for scan-volume regressions.
-bench-topk:
-	$(GO) run ./cmd/mirbench -json-topk BENCH_TOPK.json
-
-# Machine-readable dynamic-maintenance matrix for the standing path
-# (sustained events/sec and touched-leaves/event under session streams,
-# per dataset, user tier, worker count, and routing mode). The committed
-# copy is the reference point for locality regressions.
-bench-dyn:
-	$(GO) run ./cmd/mirbench -json-dyn BENCH_DYN.json
-
-# Regenerate every matrix to scratch paths and gate them against the
-# committed references: fails if any workers=1 AA row allocates more than
-# 10% over BENCH_AA.json or runs more than 10% more simplex pivots/op
-# (both counters are deterministic at one worker, so those margins are
-# pure headroom; the pivot gate catches warm starts silently going cold),
-# or if any indexed all-top-k cell scans more than 10% more products/user
-# than BENCH_TOPK.json, or if the aggregate scan reduction over the
-# full-skyband path drops below 5x, or if any dynamic-maintenance row
-# touches more than 10% more leaves/event than BENCH_DYN.json, loses more
-# than 10% events/sec at workers=1, or lets the routed/sweep locality
-# ratio on the largest user tier drop below 5x. Wall times never gate,
-# with the one deliberate exception of the standing events/sec floor —
-# that number is the tentpole's contract. (touched-leaves/event is
-# deterministic per configuration, so its margin is pure headroom.)
-# The TOPK run gates the kernel scan-wall sweep: scoring the
-# full product matrix through the blocked kernels must beat the
-# historical scalar loop they reproduce (kern.DotRowsScalar) by >=2x in
-# aggregate (both sides measured in the same process, so machine speed
-# divides out).
-bench-check:
-	$(GO) run ./cmd/mirbench -json BENCH_AA.ci.json -baseline BENCH_AA.json
-	$(GO) run ./cmd/mirbench -json-topk BENCH_TOPK.ci.json -baseline-topk BENCH_TOPK.json
-	$(GO) run ./cmd/mirbench -json-dyn BENCH_DYN.ci.json -baseline-dyn BENCH_DYN.json
-
-ci: vet build race race-hammer mird-smoke perfbench-test bench-smoke fuzz-smoke
+# `test` runs the suite without the race detector, so the `!race` halves
+# of the work gates (allocation counts and the kernel speed ratio) run in
+# CI; `race` then runs the rest of the suite again under -race.
+ci: vet build test race race-hammer mird-smoke perfbench-test bench-smoke fuzz-smoke

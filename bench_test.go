@@ -47,8 +47,8 @@ func runRegion(b *testing.B, an *Analyzer, m int) {
 	}
 	// Simplex pivots are the deterministic cost metric behind the wall
 	// clock: they expose the warm-start savings independent of machine
-	// noise (BENCH_AA.json's warm/cold workers=1 rows, written by
-	// `mirbench -json`, hold the cold-start comparison).
+	// noise (internal/core's TestAAWorkGate bounds the warm- and
+	// cold-start pivot counts of fixed builds).
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 }
 
@@ -176,7 +176,7 @@ func BenchmarkFig13Cardinalities(b *testing.B) {
 }
 
 // BenchmarkFig14CostOptimization: the CO adaptation (Figure 14; the YZZL
-// baseline comparison runs in mirbench).
+// baseline comparison is `mirbench -fig 14a` and `-fig 14b`).
 func BenchmarkFig14CostOptimization(b *testing.B) {
 	an := benchAnalyzer(b, Independent, Clustered, benchP, benchU, benchD, 1, nil)
 	b.ResetTimer()

@@ -14,8 +14,12 @@
 //	mirbench -list
 //	mirbench -fig 10a
 //	mirbench -fig all -scale 0.05
-//	mirbench -json BENCH_AA.json
 //	mirbench -fig 10a -cpuprofile cpu.pb -memprofile mem.pb
+//
+// Work gates over fixed instances (pivots, scanned products, touched
+// leaves, allocations) are ordinary Go tests in the packages they
+// measure, and wall-time comparisons between commits are perfbench's
+// job (perfbench/README.md).
 package main
 
 import (
@@ -48,12 +52,6 @@ func main() {
 	paper := flag.Bool("paper", false, "use the paper's full cardinalities (slow)")
 	seed := flag.Int64("seed", 1, "dataset seed")
 	workers := flag.Int("workers", 0, "cap on CPU cores used (0 = all); 1 reproduces the sequential engine")
-	jsonPath := flag.String("json", "", "run the AA benchmark matrix and write a machine-readable report to this path")
-	baseline := flag.String("baseline", "", "with -json: committed BENCH_AA.json to gate against (fails if workers=1 allocs/op regress >10%)")
-	jsonTopkPath := flag.String("json-topk", "", "run the indexed all-top-k preprocessing matrix and write a machine-readable report to this path")
-	baselineTopk := flag.String("baseline-topk", "", "with -json-topk: committed BENCH_TOPK.json to gate against (fails if scanned-products/user regress >10%)")
-	jsonDynPath := flag.String("json-dyn", "", "run the dynamic-maintenance events/sec matrix and write a machine-readable report to this path")
-	baselineDyn := flag.String("baseline-dyn", "", "with -json-dyn: committed BENCH_DYN.json to gate against (fails if touched-leaves/event or events/sec regress >10%, or the routed/sweep locality ratio drops below 5x)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile at exit to this path")
 	flag.Parse()
@@ -92,36 +90,6 @@ func main() {
 	if *list {
 		printList(cfg)
 		return
-	}
-	if *jsonPath != "" || *jsonTopkPath != "" || *jsonDynPath != "" {
-		if *jsonPath != "" {
-			if err := runJSONBench(cfg, *jsonPath, *baseline); err != nil {
-				fatal(err)
-			}
-		}
-		if *jsonTopkPath != "" {
-			if err := runTopkBench(cfg, *jsonTopkPath, *baselineTopk); err != nil {
-				fatal(err)
-			}
-		}
-		if *jsonDynPath != "" {
-			if err := runDynBench(cfg, *jsonDynPath, *baselineDyn); err != nil {
-				fatal(err)
-			}
-		}
-		return
-	}
-	if *baseline != "" {
-		fmt.Fprintln(os.Stderr, "mirbench: -baseline requires -json")
-		os.Exit(2)
-	}
-	if *baselineTopk != "" {
-		fmt.Fprintln(os.Stderr, "mirbench: -baseline-topk requires -json-topk")
-		os.Exit(2)
-	}
-	if *baselineDyn != "" {
-		fmt.Fprintln(os.Stderr, "mirbench: -baseline-dyn requires -json-dyn")
-		os.Exit(2)
 	}
 	if *fig == "" {
 		fmt.Fprintln(os.Stderr, "mirbench: specify -fig <id> or -list")

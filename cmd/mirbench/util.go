@@ -161,26 +161,6 @@ func (c config) instance(pKind, uKind string, nP, nU, d, k int, off int64) *core
 	return inst
 }
 
-// hostMeta records the measuring host's facts at the top of every
-// BENCH_* report: toolchain, platform, and CPU count, so a committed wall
-// number can be read against the machine that produced it.
-type hostMeta struct {
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-}
-
-// currentHost snapshots the running machine for a fresh report.
-func currentHost() hostMeta {
-	return hostMeta{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-	}
-}
-
 // timeIt runs f and returns the wall-clock seconds.
 func timeIt(f func()) float64 {
 	start := time.Now()

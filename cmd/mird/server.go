@@ -382,7 +382,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// Routed-maintenance locality profile (cumulative since startup):
 		// leaves visited by event application, subtree skips proven safe,
 		// and leaves re-verified. routedLeaves/applied is the sublinearity
-		// signal the BENCH_DYN gate tracks.
+		// signal internal/core's TestStandingWorkGate bounds.
 		"routedLeaves":    st.RoutedLeaves,
 		"skippedSubtrees": st.SkippedSubtrees,
 		"touchedFrontier": st.TouchedFrontier,

@@ -21,8 +21,8 @@ const (
 // Disable2D and DisableGrouping are the effectiveness ablations of
 // Section 6.4, which the public mir.Options mirrors. The engineering
 // switches (DisablePruning, DisableWarmStart, DisableRouting) are not
-// public: their off paths serve as references for mirbench's ablation
-// axes and the identity tests.
+// public: their off paths serve as references for the identity tests and
+// the work gates (workgate_test.go).
 type Options struct {
 	// Workers caps the parallel execution layer threaded through the
 	// engine: the all-top-k preprocessing fan-out, instance construction

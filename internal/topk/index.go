@@ -136,18 +136,6 @@ func (ix *Index) Dim() int { return ix.dim }
 // Len returns the number of indexed products.
 func (ix *Index) Len() int { return ix.n }
 
-// NumLayers returns the current layer count (tail layer included).
-func (ix *Index) NumLayers() int { return len(ix.layers) }
-
-// LayerSizes returns the row count of every layer, peel order.
-func (ix *Index) LayerSizes() []int {
-	out := make([]int, len(ix.layers))
-	for i, ly := range ix.layers {
-		out[i] = ly.rows()
-	}
-	return out
-}
-
 // row returns the master-matrix row of product id as a Vector view.
 func (ix *Index) row(id int) geom.Vector {
 	return geom.Vector(ix.rowData[id*ix.dim : (id+1)*ix.dim : (id+1)*ix.dim])
