@@ -21,14 +21,15 @@ race:
 	$(GO) test -race ./...
 
 # Hammer the concurrency surface under the race detector: the frontier
-# scheduler, the steal deque, and every cross-worker-count determinism
-# property — the `Workers` tests compare each worker count against the
-# sequential run (AA in every mode, instance construction, all-top-k, and
-# the public option plumbing). `race` already runs these once; the hammer
+# scheduler (one shared priority queue, idle workers waiting and waking
+# on it) and every cross-worker-count determinism property — the
+# `Workers` tests compare each worker count against the sequential run
+# (AA in every mode, instance construction, all-top-k, and the public
+# option plumbing). `race` already runs these once; the hammer
 # re-runs just them with -count=3 so scheduling-dependent interleavings
 # get more chances to bite.
 race-hammer:
-	$(GO) test -race -count=3 -run 'Parallel|Steal|Concurrent|Frontier|Workers' ./...
+	$(GO) test -race -count=3 -run 'Parallel|Concurrent|Frontier|Workers' ./...
 
 # Standing-daemon smoke under the race detector: concurrent reads during
 # write bursts with 429-retry, coalesced-vs-sequential region identity,

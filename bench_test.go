@@ -296,9 +296,10 @@ func BenchmarkAllTopK(b *testing.B) {
 }
 
 // BenchmarkAAParallel sweeps a full ImpactRegion query across worker
-// counts on the IND workload: 1 worker runs the historical sequential
-// best-first loop, >1 workers run the task-parallel frontier scheduler.
-// The answers are byte-identical at every count (see
+// counts on the IND workload. Every count runs the same frontier
+// scheduler over one shared priority queue: 1 worker drains it on the
+// caller's goroutine in strict best-first order, >1 workers pop from it
+// concurrently. The answers are byte-identical at every count (see
 // TestFrontierParallelByteIdentical); only the wall clock differs. The
 // speedup curve is only meaningful up to runtime.NumCPU() — on fewer
 // cores the extra workers just take turns.

@@ -7,6 +7,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,17 +71,22 @@ type server struct {
 	cur  atomic.Pointer[epochSnap]
 	hub  *watchHub
 	done chan struct{} // closed when the writer has drained and exited
+
+	// bodyTimeout bounds how long a POST /users body may take to arrive
+	// (arriveBodyTimeout; tests shorten it).
+	bodyTimeout time.Duration
 }
 
 func newServer(mo *mir.Monitor, products [][]float64, queueCap int) *server {
 	s := &server{
-		mo:         mo,
-		products:   products,
-		q:          eventq.New[queuedEvent](queueCap),
-		nextHandle: mo.NextHandle(),
-		present:    make(map[int]bool),
-		hub:        newWatchHub(),
-		done:       make(chan struct{}),
+		mo:          mo,
+		products:    products,
+		q:           eventq.New[queuedEvent](queueCap),
+		nextHandle:  mo.NextHandle(),
+		present:     make(map[int]bool),
+		hub:         newWatchHub(),
+		done:        make(chan struct{}),
+		bodyTimeout: arriveBodyTimeout,
 	}
 	for h := 0; h < mo.NumUsers(); h++ {
 		s.present[h] = true
@@ -220,15 +226,30 @@ type arriveRequest struct {
 // and a k, a few hundred bytes at any realistic dimensionality.
 const maxArriveBody = 64 << 10
 
+// arriveBodyTimeout bounds how long a POST /users body may take to arrive
+// once the handler starts reading it. ReadHeaderTimeout covers only the
+// headers, so without it a client that declares a Content-Length and then
+// trickles or withholds the body holds the handler goroutine for as long
+// as it keeps the connection open.
+const arriveBodyTimeout = 10 * time.Second
+
 func (s *server) handleArrive(w http.ResponseWriter, r *http.Request) {
+	// The deadline stays set after the decode, so it also bounds the
+	// server's discard of any unread body; the server resets the
+	// connection's deadline before the next request. A ResponseWriter
+	// without deadline support reads without one.
+	_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.bodyTimeout))
 	var req arriveRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxArriveBody)).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		switch {
+		case errors.As(err, &tooBig):
 			httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
-			return
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			httpError(w, http.StatusRequestTimeout, "body not received within %v", s.bodyTimeout)
+		default:
+			httpError(w, http.StatusBadRequest, "bad body: %v", err)
 		}
-		httpError(w, http.StatusBadRequest, "bad body: %v", err)
 		return
 	}
 	s.mu.Lock()

@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -374,6 +376,71 @@ func TestMirdSmokeValidationAndBackpressure(t *testing.T) {
 	}
 	if status, _, _ := postArrival(client, ts.URL, []float64{0.3, 0.3, 0.4}, 3); status != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown arrival: status %d, want 503", status)
+	}
+}
+
+// TestMirdSmokeSlowBody: a client that declares a POST /users body and
+// trickles it one byte at a time gets a 408 once the body deadline
+// passes, instead of holding the handler for as long as it keeps sending.
+// Each byte arriving does not extend the deadline. The daemon keeps
+// serving: the next arrival, on a new connection, is accepted.
+func TestMirdSmokeSlowBody(t *testing.T) {
+	mo, products := testMonitor(t, 100, 8, 3, 4, 4)
+	srv := newServer(mo, products, 16)
+	srv.bodyTimeout = 200 * time.Millisecond
+	srv.start()
+	defer srv.stop()
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /users HTTP/1.1\r\nHost: mird\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// 100 bytes at one per 20 ms would take 2 s; the writer stops when the
+	// server hangs up or the test ends.
+	stopTrickle := make(chan struct{})
+	defer close(stopTrickle)
+	go func() {
+		body := []byte(`{"weights":` + strings.Repeat(" ", 100))
+		for _, b := range body[:100] {
+			select {
+			case <-stopTrickle:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+			if _, err := conn.Write([]byte{b}); err != nil {
+				return
+			}
+		}
+	}()
+	if err := conn.SetReadDeadline(start.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("trickled body: no response within a second: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("trickled body: status %d, want 408", resp.StatusCode)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("trickled body: 408 after %v, want within a second", elapsed)
+	}
+
+	status, handle, err := postArrival(ts.Client(), ts.URL, []float64{0.3, 0.3, 0.4}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusAccepted || handle < 0 {
+		t.Fatalf("arrival after a slow client: status %d handle %d, want 202", status, handle)
 	}
 }
 

@@ -2,7 +2,6 @@ package celltree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"mir/internal/geom"
@@ -224,28 +223,6 @@ func TestLeavesEnumeration(t *testing.T) {
 	}
 }
 
-func TestHeapOrdering(t *testing.T) {
-	var h Heap
-	tr := unitTree(2)
-	cells := make([]*Cell, 10)
-	pris := []float64{5, 3, 8, 1, 9, 2, 7, 4, 6, 0}
-	for i := range cells {
-		cells[i] = &Cell{ID: i, owner: tr}
-		h.Push(cells[i], pris[i])
-	}
-	var got []float64
-	for h.Len() > 0 {
-		c := h.Pop()
-		got = append(got, pris[c.ID])
-	}
-	if !sort.Float64sAreSorted(got) {
-		t.Errorf("heap pop order not sorted: %v", got)
-	}
-	if h.Pop() != nil {
-		t.Error("empty heap should pop nil")
-	}
-}
-
 // TestPathDerivedIDs pins the deterministic ID scheme: the root is 0 and
 // a split assigns 2·ID+1 / 2·ID+2, so IDs depend only on the split
 // history, never on the order independent subtrees were processed in.
@@ -334,59 +311,6 @@ func TestAbsorbShardTwicePanics(t *testing.T) {
 	}
 }
 
-// TestHeapPopReleasesCell: the truncated backing array must not keep a
-// popped cell alive — popped-and-eliminated cells should be collectable,
-// so the vacated slot has to be zeroed.
-func TestHeapPopReleasesCell(t *testing.T) {
-	var h Heap
-	tr := unitTree(2)
-	for i := 0; i < 8; i++ {
-		h.Push(&Cell{ID: i, owner: tr}, float64(i))
-	}
-	for i := 0; i < 5; i++ {
-		if h.Pop() == nil {
-			t.Fatal("unexpected empty heap")
-		}
-	}
-	backing := h.items[:cap(h.items)]
-	for i := h.Len(); i < len(backing); i++ {
-		if backing[i].c != nil {
-			t.Fatalf("backing slot %d still references cell %d after pop",
-				i, backing[i].c.ID)
-		}
-	}
-	h.Drain(func(*Cell, float64) {})
-	backing = h.items[:cap(h.items)]
-	for i := range backing {
-		if backing[i].c != nil {
-			t.Fatalf("backing slot %d still references a cell after Drain", i)
-		}
-	}
-}
-
-// TestHeapDrain: Drain yields every queued cell exactly once and leaves
-// the heap empty.
-func TestHeapDrain(t *testing.T) {
-	var h Heap
-	tr := unitTree(2)
-	seen := map[int]bool{}
-	for i := 0; i < 10; i++ {
-		h.Push(&Cell{ID: i, owner: tr}, float64(10-i))
-	}
-	h.Drain(func(c *Cell, pri float64) {
-		if seen[c.ID] {
-			t.Fatalf("cell %d drained twice", c.ID)
-		}
-		if pri != float64(10-c.ID) {
-			t.Fatalf("cell %d drained with priority %g, want %g", c.ID, pri, float64(10-c.ID))
-		}
-		seen[c.ID] = true
-	})
-	if len(seen) != 10 || h.Len() != 0 {
-		t.Fatalf("drained %d cells, heap len %d", len(seen), h.Len())
-	}
-}
-
 // TestClipBoxProperty: the analytic box-halfspace clip must bound every
 // sampled feasible point and report emptiness only when the halfspace
 // truly misses the box.
@@ -471,36 +395,6 @@ func TestClipBoxExactOnSingleConstraint(t *testing.T) {
 		}
 		if !nlo.AlmostEqual(plo, 1e-6) || !nhi.AlmostEqual(phi, 1e-6) {
 			t.Fatalf("trial %d: clip [%v,%v] vs LP [%v,%v]", trial, nlo, nhi, plo, phi)
-		}
-	}
-}
-
-// TestHeapRandomSequences: pops come out in nondecreasing priority for
-// random interleavings of pushes and pops.
-func TestHeapRandomSequences(t *testing.T) {
-	rng := rand.New(rand.NewSource(103))
-	tr := unitTree(2)
-	for trial := 0; trial < 60; trial++ {
-		var h Heap
-		pri := map[*Cell]float64{}
-		prev := -1e18
-		for step := 0; step < 200; step++ {
-			if h.Len() == 0 || rng.Intn(3) > 0 {
-				c := &Cell{ID: step, owner: tr}
-				p := rng.NormFloat64()
-				pri[c] = p
-				h.Push(c, p)
-				if p < prev {
-					prev = -1e18 // a smaller priority legitimately resets the order
-				}
-			} else {
-				c := h.Pop()
-				p := pri[c]
-				if p < prev-1e-12 {
-					t.Fatalf("trial %d: popped %g after %g", trial, p, prev)
-				}
-				prev = p
-			}
 		}
 	}
 }

@@ -68,29 +68,28 @@ const (
 )
 
 // aaRun holds the state of one AA execution: the instance-wide inputs,
-// the arrangement, the staging heap cells wait on between drains, and the
-// built-in sequential worker. All per-cell mutable state (scratch buffers,
-// test counters, tree mutation) lives on aaWorker; the run itself is
-// read-only while frontier workers are active, except for the fields the
-// sequential-only modes use.
+// the arrangement, the frontier queue cells are staged on between drains,
+// and the built-in sequential worker. All per-cell mutable state (scratch
+// buffers, test counters, tree mutation) lives on aaWorker; the run itself
+// is read-only while frontier workers are active, except for the fields
+// the one-worker modes use.
 type aaRun struct {
-	inst *Instance
-	m    int
-	nU   int
-	opts Options
-	tr   *celltree.Tree
-	heap celltree.Heap
-	st   Stats
-	rr   int // round-robin cursor for the ablation strategy (sequential only)
+	inst  *Instance
+	m     int
+	nU    int
+	opts  Options
+	tr    *celltree.Tree
+	queue par.Queue[*celltree.Cell]
+	st    Stats
+	rr    int // round-robin cursor for the ablation strategy (one worker only)
 
 	// seq is the built-in sequential worker: its shard writes straight
-	// into tr.Stats and its core counters into r.st, so the sequential
-	// path needs no merge step and behaves exactly like the historical
-	// single-threaded loop.
+	// into tr.Stats and its core counters into r.st, so a one-worker
+	// drain needs no merge step.
 	seq *aaWorker
 
 	// sched records the frontier scheduler's execution, nil when every
-	// drain ran sequentially.
+	// drain ran at one worker.
 	sched *SchedStats
 
 	// Max-coverage mode (IS, budgeted CO).
@@ -106,9 +105,9 @@ type aaRun struct {
 // aaWorker is the per-goroutine execution context of the AA loop: the
 // reusable scratch buffers of the per-cell hot paths, a celltree.Shard for
 // subtree mutation, and a private core-Stats accumulator. One goroutine
-// processes a cell from start to finish. The sequential loop owns exactly
-// one worker (shard = the tree's own); the frontier runs one per worker
-// goroutine — parallelism comes from concurrent cells — and merges shards
+// processes a cell from start to finish. A one-worker drain uses the
+// run's own worker (shard = the tree's own); a wider frontier runs one per
+// worker — parallelism comes from concurrent cells — and merges shards
 // and stats after the join.
 type aaWorker struct {
 	r  *aaRun
@@ -156,28 +155,12 @@ func (r *aaRun) seedRoot() {
 	}
 	root.Payload = cg
 	if !r.seq.verify(root) {
-		r.heap.Push(root, r.priority(root))
-	}
-}
-
-// loop is the sequential drain: Algorithm 2's main iteration (and, in
-// max-coverage mode, the Section 5.5 variant). The frontier scheduler
-// replaces it for modeMIR when Workers > 1; see drain.
-func (r *aaRun) loop() {
-	w := r.seq
-	for r.heap.Len() > 0 {
-		c := r.heap.Pop()
-		w.processCell(c, r.heap.Push)
-		// High-water mark of in-flight cells (queued + the one just
-		// processed), mirroring the frontier's MaxPending accounting.
-		if n := r.heap.Len() + 1; n > r.st.MaxFrontier {
-			r.st.MaxFrontier = n
-		}
+		r.queue.Push(root, r.priority(root))
 	}
 }
 
 // processCell runs one iteration of Algorithm 2 on cell c: budget/cost
-// pruning (sequential modes), Update, Verify, group insertion, and the
+// pruning (one-worker modes), Update, Verify, group insertion, and the
 // distribution of the surviving group list to the cell's new leaves.
 // Undecided leaves are handed to push with their processing priority.
 //
@@ -227,7 +210,7 @@ func (w *aaWorker) processCell(c *celltree.Cell, push func(*celltree.Cell, float
 	// Each active leaf needs an independently mutable copy of the list;
 	// newCG itself is unaliased after the distribution, so the first taker
 	// can have the original. Distribution and publication are separate
-	// passes: push hands a leaf to the scheduler, after which a stealing
+	// passes: push hands a leaf to the scheduler, after which another
 	// worker may mutate that leaf's list in place (update/remove) — so no
 	// leaf may be published while newCG is still being cloned from.
 	taken := false
@@ -279,8 +262,8 @@ func (r *aaRun) priority(c *celltree.Cell) float64 {
 // means some users were still undecided at decision time (Figure 16d).
 // In max-coverage mode there is no fixed m: a cell is eliminated when its
 // coverage upper bound cannot beat the incumbent. The max-coverage and
-// min-cost branches mutate run-level incumbents and run only under the
-// sequential loop.
+// min-cost branches mutate run-level incumbents and run only on a
+// one-worker frontier.
 func (w *aaWorker) verify(c *celltree.Cell) bool {
 	r := w.r
 	if c.Status != celltree.Active {
@@ -405,8 +388,8 @@ func (w *aaWorker) groupRelation(c *celltree.Cell, v *view) geom.Relation {
 
 // chooseView implements the group-selection strategy (largest by default;
 // Figure 17a ablates smallest and round-robin). RoundRobinGroup advances a
-// run-global cursor, so the frontier scheduler is disabled for it (see
-// drain); the other strategies are pure functions of the cell's list.
+// run-global cursor, so the frontier runs it at one worker (see drain);
+// the other strategies are pure functions of the cell's list.
 func (r *aaRun) chooseView(cg *cellGroups) int {
 	switch r.opts.GroupChoice {
 	case SmallestGroup:

@@ -1,23 +1,22 @@
 package core
 
 import (
-	"context"
-	"runtime/pprof"
-
 	"mir/internal/celltree"
 	"mir/internal/par"
 )
 
-// SchedStats describes the frontier scheduler's execution: how wide the
-// frontier got, how work moved between workers, and how the cell load
-// distributed. Every field except Workers is timing-dependent — it varies
-// run to run and is explicitly excluded from the determinism contract the
-// computed region and the algorithmic Stats counters obey. Accumulated
-// across drains for maintained (incremental) runs.
+// SchedStats describes a multi-worker frontier execution: how wide the
+// frontier got and how the cell load distributed. Every field except
+// Workers is timing-dependent — it varies run to run and is explicitly
+// excluded from the determinism contract the computed region and the
+// algorithmic Stats counters obey. Accumulated across drains for
+// maintained (incremental) runs.
 type SchedStats struct {
-	// Workers is the frontier's worker-goroutine count.
+	// Workers is the frontier's worker count.
 	Workers int
-	// Steals counts successful steal operations.
+	// Deprecated: always 0. The frontier no longer steals work; the field
+	// stays because the benchmark in perfbench/analyst.go reads it for its
+	// par.steals metric.
 	Steals int
 	// MaxFrontier is the high-water mark of in-flight cells.
 	MaxFrontier int
@@ -25,75 +24,54 @@ type SchedStats struct {
 	PerWorkerCells []int
 }
 
-// drain processes every staged cell until the heap is empty. modeMIR runs
-// with Workers > 1 go through the task-parallel frontier: cell processing
+// drain processes every staged cell through the frontier scheduler until
+// none is left. modeMIR runs use Workers workers: cell processing
 // commutes there (see aaWorker.processCell), so concurrent subtrees yield
-// the identical arrangement. The sequential best-first loop is kept for
+// the identical arrangement. The frontier runs with one worker, in strict
+// best-first order, for
 //
 //   - modeMaxCov / modeMinCost: their pruning reads and writes run-global
 //     incumbents (bestCov, bestCost), so correctness — not just speed —
 //     depends on the globally ordered traversal;
 //   - RoundRobinGroup: the ablation strategy advances a run-global cursor,
 //     whose sequence would depend on scheduling.
+//
+// The single worker is the run's sequential worker, which writes straight
+// into the tree and r.st, so nothing needs merging and Region.Sched stays
+// nil. More workers each own an aaWorker (scratch + tree shard + stats
+// accumulator) for the drain; shards and counters merge by summation
+// after the join, so the totals equal the sequential run's for every
+// worker count.
 func (r *aaRun) drain() {
-	if w := r.workers(); w > 1 && r.mode == modeMIR && r.opts.GroupChoice != RoundRobinGroup {
-		r.runFrontier(w)
+	if r.queue.Len() == 0 {
 		return
 	}
-	r.loop()
-}
-
-// runFrontier drains the staged heap through the work-stealing frontier
-// scheduler: the staged cells seed per-worker priority queues, and each
-// worker processes cells — pushing the resulting undecided leaves onto its
-// own queue — until no cell is left anywhere. Each worker owns an
-// aaWorker (scratch + tree shard + stats accumulator) for the duration;
-// shards and counters merge by summation after the join, so the totals
-// equal the sequential run's for every worker count.
-func (r *aaRun) runFrontier(workers int) {
-	var (
-		seeds []*celltree.Cell
-		pris  []float64
-	)
-	pprof.Do(context.Background(), pprof.Labels("mir_phase", "seed"), func(context.Context) {
-		seeds = make([]*celltree.Cell, 0, r.heap.Len())
-		pris = make([]float64, 0, r.heap.Len())
-		r.heap.Drain(func(c *celltree.Cell, pri float64) {
-			seeds = append(seeds, c)
-			pris = append(pris, pri)
-		})
-	})
-	if len(seeds) == 0 {
-		return
+	workers := 1
+	if r.mode == modeMIR && r.opts.GroupChoice != RoundRobinGroup {
+		workers = r.workers()
 	}
-	ws := make([]*aaWorker, workers)
-	for i := range ws {
-		ws[i] = &aaWorker{r: r, sh: r.tr.NewShard(), st: &Stats{}}
+	ws := []*aaWorker{r.seq}
+	if workers > 1 {
+		ws = make([]*aaWorker, workers)
+		for i := range ws {
+			ws[i] = &aaWorker{r: r, sh: r.tr.NewShard(), st: &Stats{}}
+		}
 	}
-	fs := par.RunFrontier(workers, seeds, pris, func(fw *par.FrontierWorker[*celltree.Cell], c *celltree.Cell) {
+	fs := par.RunFrontier(workers, &r.queue, func(fw *par.FrontierWorker[*celltree.Cell], c *celltree.Cell) {
 		ws[fw.ID()].processCell(c, fw.Push)
 	})
+	r.st.MaxFrontier = max(r.st.MaxFrontier, fs.MaxPending)
+	if workers == 1 {
+		return
+	}
 	for _, w := range ws {
 		r.tr.AbsorbShard(w.sh)
 		r.st.mergeWorker(w.st)
 	}
-	r.recordSched(fs)
-}
-
-// recordSched folds one frontier execution into the run's scheduler
-// counters, accumulating across the multiple drains of a maintained run.
-func (r *aaRun) recordSched(fs par.FrontierStats) {
-	r.st.StealCount += fs.Steals
-	if fs.MaxPending > r.st.MaxFrontier {
-		r.st.MaxFrontier = fs.MaxPending
-	}
 	if r.sched == nil {
-		r.sched = &SchedStats{Workers: fs.Workers, PerWorkerCells: make([]int, fs.Workers)}
+		r.sched = &SchedStats{Workers: workers, PerWorkerCells: make([]int, workers)}
 	}
-	r.sched.Steals += fs.Steals
-	if fs.MaxPending > r.sched.MaxFrontier {
-		r.sched.MaxFrontier = fs.MaxPending
-	}
+	r.sched.MaxFrontier = max(r.sched.MaxFrontier, fs.MaxPending)
 	for i, n := range fs.PerWorker {
 		if i < len(r.sched.PerWorkerCells) {
 			r.sched.PerWorkerCells[i] += n
@@ -102,7 +80,7 @@ func (r *aaRun) recordSched(fs par.FrontierStats) {
 }
 
 // region exports the run's current region together with the scheduler
-// stats (nil when every drain ran sequentially).
+// stats (nil when every drain ran at one worker).
 func (r *aaRun) region() *Region {
 	reg := regionFromTree(r.tr, r.m, r.st)
 	reg.Sched = r.sched

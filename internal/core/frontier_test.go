@@ -13,8 +13,8 @@ import (
 // finished arrangement — leaf IDs, statuses, counts, depths — and the
 // exported region are byte-identical to the sequential run, and every
 // Stats counter matches exactly (one goroutine processes each cell, so
-// even the raw test counters cannot diverge). Only StealCount and
-// MaxFrontier, which profile the schedule itself, are exempt.
+// even the raw test counters cannot diverge). Only MaxFrontier, which
+// profiles the schedule itself, is exempt.
 func TestFrontierParallelByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cases := []struct {
@@ -66,7 +66,6 @@ func TestFrontierParallelByteIdentical(t *testing.T) {
 				gotReg := got.region()
 				regionsIdentical(t, refReg, gotReg)
 				sa, sb := refReg.Stats, gotReg.Stats
-				sa.StealCount, sb.StealCount = 0, 0
 				sa.MaxFrontier, sb.MaxFrontier = 0, 0
 				if sa != sb {
 					t.Fatalf("case %d m=%d workers=%d: stats diverge:\nseq %+v\npar %+v",
@@ -120,7 +119,6 @@ func TestFrontierParallelMaintainer(t *testing.T) {
 			got := mt.Region()
 			regionsIdentical(t, ref, got)
 			sa, sb := ref.Stats, got.Stats
-			sa.StealCount, sb.StealCount = 0, 0
 			sa.MaxFrontier, sb.MaxFrontier = 0, 0
 			if sa != sb {
 				t.Fatalf("%s workers=%d: stats diverge:\nseq %+v\npar %+v",

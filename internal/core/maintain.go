@@ -569,35 +569,38 @@ func (mt *Maintainer) applyLog(ops []batchOp) {
 			continue
 		}
 		mt.run.nU = mt.log[e].nAlive
-		if mt.routed {
-			mt.pushFired(cells)
-			if seen == nil {
-				seen = make(map[*celltree.Cell]bool, len(cells))
-			}
-			for _, c := range cells {
-				if !seen[c] {
-					seen[c] = true
-					refresh = append(refresh, c)
+		// Stage the fired leaves onto the frontier queue.
+		pprof.Do(context.Background(), pprof.Labels("mir_phase", "seed"), func(context.Context) {
+			if mt.routed {
+				mt.pushFired(cells)
+				if seen == nil {
+					seen = make(map[*celltree.Cell]bool, len(cells))
+				}
+				for _, c := range cells {
+					if !seen[c] {
+						seen[c] = true
+						refresh = append(refresh, c)
+					}
+				}
+			} else {
+				fired := make(map[*celltree.Cell]bool, len(cells))
+				for _, c := range cells {
+					fired[c] = true
+				}
+				// Push in current leaf order — the order the per-event sweep
+				// would have used — not bucket-append order.
+				mt.leavesBuf = mt.run.tr.Leaves(nil, mt.leavesBuf[:0])
+				for _, leaf := range mt.leavesBuf {
+					if !fired[leaf] {
+						continue
+					}
+					mt.run.tr.Reactivate(leaf)
+					if !mt.run.seq.verify(leaf) {
+						mt.run.queue.Push(leaf, mt.run.priority(leaf))
+					}
 				}
 			}
-		} else {
-			fired := make(map[*celltree.Cell]bool, len(cells))
-			for _, c := range cells {
-				fired[c] = true
-			}
-			// Push in current leaf order — the order the per-event sweep
-			// would have used — not bucket-append order.
-			mt.leavesBuf = mt.run.tr.Leaves(nil, mt.leavesBuf[:0])
-			for _, leaf := range mt.leavesBuf {
-				if !fired[leaf] {
-					continue
-				}
-				mt.run.tr.Reactivate(leaf)
-				if !mt.run.seq.verify(leaf) {
-					mt.run.heap.Push(leaf, mt.run.priority(leaf))
-				}
-			}
-		}
+		})
 		mt.run.drain()
 		if e+1 < len(mt.log) {
 			pprof.Do(context.Background(), pprof.Labels("mir_phase", "verify"), func(context.Context) {

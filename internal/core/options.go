@@ -28,14 +28,14 @@ type Options struct {
 	// engine: the all-top-k preprocessing fan-out, instance construction
 	// (halfspace + per-group hull precomputation), and the mIR-mode
 	// frontier, whose workers process disjoint arrangement cells
-	// concurrently. One goroutine always processes a cell; best-first CO,
-	// the max-coverage searches and RoundRobinGroup keep the sequential
-	// loop, so they run on one goroutine at any setting. 0 (the
-	// default) uses every core (runtime.GOMAXPROCS); 1 reproduces the
-	// original single-threaded execution exactly — ablation and
-	// EXPERIMENTS.md numbers were measured that way. The computed region
-	// and every Stats counter except StealCount and MaxFrontier are
-	// identical for every setting.
+	// concurrently from one shared priority queue. One goroutine always
+	// processes a cell; best-first CO, the max-coverage searches and
+	// RoundRobinGroup run the frontier at one worker, on the caller's
+	// goroutine, at any setting. 0 (the default) uses every core
+	// (runtime.GOMAXPROCS); 1 runs everything on the caller's goroutine
+	// in strict best-first order — ablation and EXPERIMENTS.md numbers
+	// were measured that way. The computed region and every Stats counter
+	// except MaxFrontier are identical for every setting.
 	Workers int
 	// GroupChoice picks the insertion group (Figure 17a).
 	GroupChoice GroupChoice
@@ -103,7 +103,7 @@ type Stats struct {
 	// redundancy-elimination counters (zero when pruning is disabled).
 	PruneLPTests int
 	PrunedRows   int
-	// Iterations counts heap pops.
+	// Iterations counts cells popped from the frontier queue.
 	Iterations int
 	// Pivots, WarmHits, WarmMisses, and ColdSolves aggregate the simplex
 	// solvers' effort across every classification, redundancy, and hull
@@ -146,13 +146,11 @@ type Stats struct {
 	// when it doesn't, and a nonzero value means the affected leaf's counts
 	// were left untouched (the removal had nothing sound to undo).
 	CountDesyncs int64
-	// StealCount counts successful frontier steals and MaxFrontier is the
-	// high-water mark of in-flight cells. Unlike every counter above, the
-	// two are scheduling-sensitive at Workers > 1 (they vary run to run)
-	// and are excluded from the cross-worker-count determinism contract.
-	// At Workers <= 1 StealCount is always 0 and MaxFrontier is the
-	// deterministic high-water mark of the sequential heap.
-	StealCount  int
+	// MaxFrontier is the high-water mark of in-flight cells (queued +
+	// running). Unlike every counter above, it is scheduling-sensitive at
+	// Workers > 1 (it varies run to run) and is excluded from the
+	// cross-worker-count determinism contract. At Workers <= 1 it is the
+	// deterministic high-water mark of the best-first queue.
 	MaxFrontier int
 }
 

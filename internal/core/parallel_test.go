@@ -39,8 +39,8 @@ func regionsIdentical(t *testing.T, want, got *Region) {
 // TestAAWorkersMatchSequential pins the determinism contract in every AA
 // configuration, the sequential-only round-robin strategy included: the
 // region computed with any worker count is identical to the sequential
-// (Workers: 1) run, and so is every Stats counter. Only StealCount and
-// MaxFrontier, which profile the frontier's schedule, are exempt.
+// (Workers: 1) run, and so is every Stats counter. Only MaxFrontier,
+// which profiles the frontier's schedule, is exempt.
 func TestAAWorkersMatchSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []struct {
@@ -75,7 +75,6 @@ func TestAAWorkersMatchSequential(t *testing.T) {
 				}
 				regionsIdentical(t, seq, par)
 				sa, sb := seq.Stats, par.Stats
-				sa.StealCount, sb.StealCount = 0, 0
 				sa.MaxFrontier, sb.MaxFrontier = 0, 0
 				if sa != sb {
 					t.Fatalf("case %d m=%d workers=%d: stats diverge:\nseq %+v\npar %+v",

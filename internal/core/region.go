@@ -18,10 +18,10 @@ type Region struct {
 	// CO adaptation. Nil for NVE results.
 	MBBs  [][2]geom.Vector
 	Stats Stats
-	// Sched carries the frontier scheduler's execution profile when the
-	// region was computed task-parallel (nil for sequential runs and
-	// non-AA algorithms). Its values are scheduling-sensitive and excluded
-	// from the determinism contract the rest of the Region obeys.
+	// Sched carries the frontier scheduler's execution profile when some
+	// drain ran with more than one worker (nil otherwise, and for non-AA
+	// algorithms). Its values are scheduling-sensitive and excluded from
+	// the determinism contract the rest of the Region obeys.
 	Sched *SchedStats
 }
 

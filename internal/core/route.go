@@ -228,7 +228,7 @@ func (mt *Maintainer) pushFired(cells []*celltree.Cell) {
 	for _, leaf := range cells {
 		mt.run.tr.Reactivate(leaf)
 		if !mt.run.seq.verify(leaf) {
-			mt.run.heap.Push(leaf, mt.run.priority(leaf))
+			mt.run.queue.Push(leaf, mt.run.priority(leaf))
 		}
 	}
 }

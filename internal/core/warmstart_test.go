@@ -108,7 +108,6 @@ func TestWarmStartPreservesRegion(t *testing.T) {
 					}
 					regionsIdentical(t, ref.reg, got)
 					sa, sb := ref.reg.Stats, got.Stats
-					sa.StealCount, sb.StealCount = 0, 0
 					sa.MaxFrontier, sb.MaxFrontier = 0, 0
 					if sa != sb {
 						t.Fatalf("case %d m=%d %s workers=%d: stats diverge:\nseq %+v\npar %+v",

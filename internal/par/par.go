@@ -1,10 +1,11 @@
 // Package par provides the worker-pool primitives behind the engine's
 // multi-core execution layer: a Workers-option resolver shared by every
 // layer of the stack, a chunked index fan-out with deterministic
-// assignment, and the work-stealing frontier scheduler (steal.go). The
-// all-top-k preprocessing (internal/topk) and instance construction
-// (internal/core) fan their embarrassingly parallel loops through For and
-// ForWorker; AA's frontier runs on RunFrontier, one cell per task.
+// assignment, and the frontier scheduler with its priority queue
+// (frontier.go). The all-top-k preprocessing (internal/topk) and instance
+// construction (internal/core) fan their embarrassingly parallel loops
+// through For and ForWorker; every AA drain runs on RunFrontier, one cell
+// per task.
 //
 // Determinism contract: ForWorker partitions [0, n) into contiguous
 // chunks with a fixed worker→range mapping, and callers write results

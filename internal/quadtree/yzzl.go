@@ -13,13 +13,13 @@
 package quadtree
 
 import (
-	"container/heap"
 	"errors"
 	"math"
 
 	"mir/internal/celltree"
 	"mir/internal/core"
 	"mir/internal/geom"
+	"mir/internal/par"
 	"mir/internal/solver"
 )
 
@@ -53,21 +53,6 @@ type quad struct {
 	costLB float64
 }
 
-// quadHeap is a min-heap of quads by cost lower bound.
-type quadHeap []quad
-
-func (h quadHeap) Len() int            { return len(h) }
-func (h quadHeap) Less(a, b int) bool  { return h[a].costLB < h[b].costLB }
-func (h quadHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *quadHeap) Push(x interface{}) { *h = append(*h, x.(quad)) }
-func (h *quadHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	q := old[n-1]
-	*h = old[:n-1]
-	return q
-}
-
 // SolveCO finds the minimum-L2-cost position covering at least m users.
 // It is exact up to the solver tolerances. The instance provides the
 // influential halfspaces (built for each user's personal k; the original
@@ -77,15 +62,16 @@ func (s Solver) SolveCO(inst *core.Instance, m int) (*Result, error) {
 		return nil, err
 	}
 	d := inst.Dim
-	root := quad{lo: make(geom.Vector, d), hi: ones(d)}
-	h := &quadHeap{root}
+	// Quads wait in a min-heap keyed by their cost lower bound.
+	var h par.Queue[quad]
+	h.Push(quad{lo: make(geom.Vector, d), hi: ones(d)}, 0)
 	bestCost := math.Inf(1)
 	var bestPoint geom.Vector
 	nodes := 0
 
 	for h.Len() > 0 {
 		// Best-first by cost lower bound.
-		q := heap.Pop(h).(quad)
+		q, _ := h.Pop()
 		nodes++
 		if s.MaxNodes > 0 && nodes > s.MaxNodes {
 			return nil, ErrBudget
@@ -115,7 +101,7 @@ func (s Solver) SolveCO(inst *core.Instance, m int) (*Result, error) {
 			continue
 		}
 		for _, child := range split(q) {
-			heap.Push(h, child)
+			h.Push(child, child.costLB)
 		}
 	}
 	if bestPoint == nil {

@@ -61,14 +61,14 @@ type User struct {
 type Options struct {
 	// Workers caps the engine's parallel execution layer: the all-top-k
 	// preprocessing, instance construction, and the impact-region build,
-	// whose workers process disjoint arrangement cells concurrently.
-	// CostOptimalFast, the budgeted searches and the RoundRobin strategy
-	// search on one goroutine at any setting. 0 (the default) uses every
-	// core (runtime.GOMAXPROCS); 1 reproduces the original
-	// single-threaded execution exactly (ablations and the EXPERIMENTS.md
-	// numbers were measured that way). Regions, placements, coverage
-	// counts and every Stats counter except StealCount and MaxFrontier
-	// are identical for every setting.
+	// whose workers process disjoint arrangement cells concurrently from
+	// one shared priority queue. CostOptimalFast, the budgeted searches
+	// and the RoundRobin strategy search on one goroutine at any setting.
+	// 0 (the default) uses every core (runtime.GOMAXPROCS); 1 runs
+	// everything on the caller's goroutine in strict best-first order
+	// (ablations and the EXPERIMENTS.md numbers were measured that way).
+	// Regions, placements, coverage counts and every Stats counter except
+	// MaxFrontier are identical for every setting.
 	Workers int
 	// Strategy selects which pending user group is opened first when a
 	// cell remains undecided; see the Strategy constants.

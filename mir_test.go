@@ -116,28 +116,44 @@ func TestImpactRegionAPI(t *testing.T) {
 	}
 }
 
+// TestRegionArea2D checks the exact d=2 area against the coverage
+// oracle, not against the region itself: the Monte-Carlo share of uniform
+// points where Analyzer.Coverage reaches m must match Region.Area within
+// four standard errors, with the specialized 2-D insertion (Lemmas 5/6)
+// and with the generic path.
 func TestRegionArea2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ps, us := fixture(rng, 200, 15, 2, 5)
-	reg, err := ImpactRegion(ps, us, 8)
+	const m, n = 8, 30000
+	oracle, err := NewAnalyzer(ps, us, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	area := reg.Area()
-	if area <= 0 || area > 1 {
-		t.Errorf("area = %g, want in (0,1]", area)
-	}
-	// Monte-Carlo cross-check.
-	inside := 0
-	const n = 30000
+	covered := 0
 	for i := 0; i < n; i++ {
-		if reg.Contains([]float64{rng.Float64(), rng.Float64()}) {
-			inside++
+		if oracle.Coverage([]float64{rng.Float64(), rng.Float64()}) >= m {
+			covered++
 		}
 	}
-	mc := float64(inside) / n
-	if math.Abs(mc-area) > 0.02 {
-		t.Errorf("analytic area %g vs Monte-Carlo %g", area, mc)
+	mc := float64(covered) / n
+	tol := 4 * math.Sqrt(mc*(1-mc)/n)
+	for _, opts := range []*Options{nil, {Disable2DSpecialization: true}} {
+		an, err := NewAnalyzer(ps, us, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg, err := an.ImpactRegion(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		area := reg.Area()
+		if area <= 0 || area > 1 {
+			t.Errorf("options %+v: area = %g, want in (0,1]", opts, area)
+		}
+		if math.Abs(mc-area) > tol {
+			t.Errorf("options %+v: analytic area %g vs coverage-oracle Monte-Carlo %g (tolerance %g)",
+				opts, area, mc, tol)
+		}
 	}
 }
 

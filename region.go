@@ -92,8 +92,8 @@ func (c Cell) AnyPoint() (point []float64, ok bool) {
 
 // Stats exposes the work counters of the computation that produced the
 // region (cells created, splits, geometric tests, early decisions). Every
-// counter except StealCount and MaxFrontier is identical for every
-// Options.Workers setting.
+// counter except MaxFrontier is identical for every Options.Workers
+// setting.
 type Stats struct {
 	Cells            int
 	Splits           int
@@ -138,11 +138,9 @@ type Stats struct {
 	// classified on some leaf. It must stay zero; a nonzero value signals
 	// cell counts drifting from the alive population.
 	CountDesyncs int64
-	// StealCount and MaxFrontier profile the schedule: frontier steals
-	// (zero for sequential runs) and the high-water mark of in-flight
-	// cells. Unlike the counters above they are scheduling-sensitive: they
-	// vary run to run at Workers > 1.
-	StealCount  int
+	// MaxFrontier profiles the schedule: the high-water mark of in-flight
+	// cells. Unlike the counters above it is scheduling-sensitive: it
+	// varies run to run at Workers > 1.
 	MaxFrontier int
 }
 
@@ -169,29 +167,27 @@ func (r *Region) Stats() Stats {
 		SkippedSubtrees:  s.SkippedSubtrees,
 		TouchedFrontier:  s.TouchedFrontier,
 		CountDesyncs:     s.CountDesyncs,
-		StealCount:       s.StealCount,
 		MaxFrontier:      s.MaxFrontier,
 	}
 }
 
 // SchedStats describes how the task-parallel frontier executed: worker
-// count, steal traffic, frontier width, and the per-worker cell load.
-// Every field except Workers varies run to run — the scheduler promises
-// identical results, not identical schedules.
+// count, frontier width, and the per-worker cell load. Every field except
+// Workers varies run to run — the scheduler promises identical results,
+// not identical schedules.
 type SchedStats struct {
 	Workers        int
-	Steals         int
 	MaxFrontier    int
 	PerWorkerCells []int
 }
 
 // Sched returns the frontier scheduler's execution profile, or nil when
-// the region was computed sequentially.
+// every drain of the region's computation ran at one worker.
 func (r *Region) Sched() *SchedStats {
 	s := r.reg.Sched
 	if s == nil {
 		return nil
 	}
 	per := append([]int(nil), s.PerWorkerCells...)
-	return &SchedStats{Workers: s.Workers, Steals: s.Steals, MaxFrontier: s.MaxFrontier, PerWorkerCells: per}
+	return &SchedStats{Workers: s.Workers, MaxFrontier: s.MaxFrontier, PerWorkerCells: per}
 }
