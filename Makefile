@@ -50,16 +50,23 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAllTopK|BenchmarkAAParallel' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkKernels' -benchtime 1x -benchmem ./internal/kern
 
-# Differential fuzzing of the numeric kernels against their verbatim
-# scalar references (10s per fuzzer; the committed corpora under
-# testdata/fuzz seed the tricky float shapes — signed zeros, Inf, NaN,
-# subnormals). `go test -fuzz` accepts one fuzz target per invocation, so
-# each fuzzer gets its own anchored run.
+# Differential fuzzing, 10s per fuzz target: the numeric kernels against
+# their verbatim scalar references and the two-phase simplex against the
+# reference solver (the committed corpora under testdata/fuzz seed the
+# tricky float shapes — signed zeros, Inf, NaN, subnormals). `go test
+# -fuzz` accepts one fuzz target per invocation, so the targets are
+# discovered with `go test -list` and each gets its own anchored run: a
+# new fuzzer joins by existing, and a deleted one cannot linger here.
 fuzz-smoke:
-	$(GO) test -fuzz '^FuzzKernelDotRows$$' -fuzztime 10s ./internal/kern
-	$(GO) test -fuzz '^FuzzKernelRowMaxMin$$' -fuzztime 10s ./internal/kern
-	$(GO) test -fuzz '^FuzzKernelEliminate$$' -fuzztime 10s ./internal/kern
-	$(GO) test -fuzz '^FuzzKernelPivotParity$$' -fuzztime 10s ./internal/lp
+	@set -e; \
+	list=$$($(GO) test -list '^Fuzz' ./...); \
+	targets=$$(echo "$$list" | awk '/^Fuzz/ {f[n++] = $$1} /^ok/ {for (i = 0; i < n; i++) print $$2 "," f[i]; n = 0}'); \
+	test -n "$$targets" || { echo "fuzz-smoke: no fuzz targets found" >&2; exit 1; }; \
+	for t in $$targets; do \
+		pkg=$${t%,*}; name=$${t#*,}; \
+		echo "fuzz $$name ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s $$pkg; \
+	done
 
 # Full in-repo Go benchmarks with allocation reporting (the numbers quoted
 # in EXPERIMENTS.md).

@@ -265,6 +265,12 @@ func (s *server) handleArrive(w http.ResponseWriter, r *http.Request) {
 			len(req.Weights), len(s.products[0]))
 		return
 	}
+	for j, x := range req.Weights {
+		if x < 0 {
+			httpError(w, http.StatusBadRequest, "weight %d is %v; weights must be non-negative", j, x)
+			return
+		}
+	}
 	if req.K < 1 || req.K > len(s.products) {
 		httpError(w, http.StatusBadRequest, "k=%d out of range [1,%d]", req.K, len(s.products))
 		return

@@ -305,6 +305,9 @@ func TestMirdSmokeValidationAndBackpressure(t *testing.T) {
 	if status, _, _ := postArrival(client, ts.URL, []float64{0.3, 0.3, 0.4}, 0); status != http.StatusBadRequest {
 		t.Fatalf("k=0 arrival: status %d", status)
 	}
+	if status, _, _ := postArrival(client, ts.URL, []float64{0.8, -0.2, 0.4}, 3); status != http.StatusBadRequest {
+		t.Fatalf("negative-weight arrival: status %d", status)
+	}
 	if status, _, _ := postArrival(client, ts.URL, []float64{0.3, 0.3, 0.4}, 101); status != http.StatusBadRequest {
 		t.Fatalf("k>|P| arrival: status %d", status)
 	}

@@ -292,6 +292,7 @@ func TestMonitorHandleContractUnderFailures(t *testing.T) {
 		{Weights: []float64{0.3, 0.3, 0.4}, K: 0},        // k too small
 		{Weights: []float64{0.3, 0.3, 0.4}, K: 151},      // k beyond |P|
 		{Weights: []float64{0.3, math.NaN(), 0.4}, K: 2}, // non-finite weight
+		{Weights: []float64{0.8, -0.2, 0.4}, K: 2},       // negative weight
 	}
 	live := make([]int, 12)
 	for i := range live {
@@ -301,7 +302,7 @@ func TestMonitorHandleContractUnderFailures(t *testing.T) {
 		switch {
 		case step%3 == 1: // malformed arrival
 			before := mo.NextHandle()
-			h, err := mo.UserArrived(badArrivals[step%len(badArrivals)])
+			h, err := mo.UserArrived(badArrivals[(step/3)%len(badArrivals)])
 			if err == nil {
 				t.Fatalf("step %d: malformed arrival accepted", step)
 			}

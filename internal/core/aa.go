@@ -351,7 +351,9 @@ func (w *aaWorker) update(c *celltree.Cell) {
 // test counters into the worker's shard. The fast path is the dominance
 // test of Section 5.3: if the cell's MBB min-corner dominates the group's
 // common top-k-th product r, every product in the cell outscores r for
-// every user; symmetrically for the max-corner.
+// every user; symmetrically for the max-corner. Dominance implies the
+// score order only for non-negative weights, which instance validation
+// enforces (ErrNegativeWeight).
 func (w *aaWorker) groupRelation(c *celltree.Cell, v *view) geom.Relation {
 	r := w.r
 	if r.fast() {

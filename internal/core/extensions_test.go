@@ -242,6 +242,12 @@ func TestSolveBudgetedCO(t *testing.T) {
 			res.Coverage != res4.Coverage || res.Stats != res4.Stats {
 			t.Fatalf("trial %d: workers 1 and 4 differ:\n%+v\n%+v", trial, res, res4)
 		}
+		// The arrangement's LP and pruning counters must reach Stats, as
+		// they do for a region build.
+		if res.Stats.Pivots == 0 || res.Stats.PruneLPTests == 0 {
+			t.Errorf("trial %d: Pivots %d, PruneLPTests %d: arrangement counters missing from %+v",
+				trial, res.Stats.Pivots, res.Stats.PruneLPTests, res.Stats)
+		}
 		if res.Cost > budget+1e-6 {
 			t.Errorf("trial %d: cost %g > budget %g", trial, res.Cost, budget)
 		}

@@ -31,12 +31,26 @@ var (
 	ErrBadK        = errors.New("core: every user k must satisfy 1 <= k <= |P|")
 	ErrDimMismatch = errors.New("core: product and user dimensionalities differ")
 	ErrNonFinite   = errors.New("core: product attributes and user weights must be finite")
+	// ErrNegativeWeight rejects a negative user weight: the MBB-corner
+	// dominance test of Lemmas 3/4 and the top-k index's block bounds
+	// both hold only for w >= 0.
+	ErrNegativeWeight = errors.New("core: user weights must be non-negative")
 )
 
 // firstNonFinite returns the index of the first NaN or ±Inf in v, or -1.
 func firstNonFinite(v []float64) int {
 	for j, x := range v {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return j
+		}
+	}
+	return -1
+}
+
+// firstNegative returns the index of the first negative entry of v, or -1.
+func firstNegative(v []float64) int {
+	for j, x := range v {
+		if x < 0 {
 			return j
 		}
 	}
@@ -105,7 +119,8 @@ func NewInstanceWorkers(products []geom.Vector, users []topk.UserPref, workers i
 // the built index stays on the Instance for the dynamic path to reuse.
 //
 // Validation rejects NaN and ±Inf product attributes and user weights
-// with ErrNonFinite, next to the dimension and k checks.
+// with ErrNonFinite and negative user weights with ErrNegativeWeight,
+// next to the dimension and k checks.
 //
 // After construction the Instance is read-only for query execution: AA
 // runs (and therefore concurrent Analyzer queries) only read it.
@@ -133,6 +148,9 @@ func NewInstanceOpts(products []geom.Vector, users []topk.UserPref, opts Options
 		}
 		if j := firstNonFinite(u.W); j >= 0 {
 			return nil, fmt.Errorf("%w: user %d weight %d is %v", ErrNonFinite, i, j, u.W[j])
+		}
+		if j := firstNegative(u.W); j >= 0 {
+			return nil, fmt.Errorf("%w: user %d weight %d is %v", ErrNegativeWeight, i, j, u.W[j])
 		}
 		if u.K < 1 || u.K > len(products) {
 			return nil, fmt.Errorf("%w: user %d has k=%d (|P|=%d)",

@@ -92,20 +92,8 @@ func maxCoverage(inst *Instance, box *geom.Polytope, base geom.Vector, budget fl
 		Coverage:     run.bestCov,
 		Cost:         run.bestCost,
 		BaseCoverage: inst.CountCovering(base),
-		Stats:        run.statsFromTree(),
+		Stats:        treeStats(run.tr, run.st),
 	}, nil
-}
-
-// statsFromTree merges arrangement counters into the run's stats.
-func (r *aaRun) statsFromTree() Stats {
-	st := r.st
-	st.Cells = r.tr.Stats.CellsCreated
-	st.Splits = r.tr.Stats.Splits
-	st.ContainmentTests += r.tr.Stats.ContainmentTests
-	st.FastTests = r.tr.Stats.FastTests
-	st.Reported = r.tr.Stats.Reported
-	st.Eliminated = r.tr.Stats.Eliminated
-	return st
 }
 
 // pruneBudget eliminates the cell when even its cheapest point exceeds

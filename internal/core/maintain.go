@@ -254,6 +254,10 @@ func (mt *Maintainer) ApplyBatch(events []Event) ([]int, error) {
 				return nil, fmt.Errorf("%w: event %d: new user weight %d is %v",
 					ErrNonFinite, i, j, ev.User.W[j])
 			}
+			if j := firstNegative(ev.User.W); j >= 0 {
+				return nil, fmt.Errorf("%w: event %d: new user weight %d is %v",
+					ErrNegativeWeight, i, j, ev.User.W[j])
+			}
 			if ev.User.K < 1 || ev.User.K > len(mt.products) {
 				return nil, fmt.Errorf("%w: event %d: new user has k=%d (|P|=%d)",
 					ErrBadK, i, ev.User.K, len(mt.products))

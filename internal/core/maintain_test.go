@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -157,6 +158,9 @@ func TestMaintainerErrors(t *testing.T) {
 	}
 	if _, err := mt.AddUser(topk.UserPref{W: geom.Vector{0.5, 0.5}, K: 0}); err == nil {
 		t.Error("bad k accepted")
+	}
+	if _, err := mt.AddUser(topk.UserPref{W: geom.Vector{1.3, -0.3}, K: 3}); !errors.Is(err, ErrNegativeWeight) {
+		t.Errorf("negative weight: err = %v, want ErrNegativeWeight", err)
 	}
 	if err := mt.RemoveUser(99); err == nil {
 		t.Error("bad index accepted")

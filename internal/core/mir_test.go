@@ -310,6 +310,11 @@ func TestInputValidation(t *testing.T) {
 	if _, err := NewInstance(infPs, us); !errors.Is(err, ErrNonFinite) {
 		t.Errorf("-Inf product attribute: err = %v, want ErrNonFinite", err)
 	}
+	negUs := append([]topk.UserPref(nil), us...)
+	negUs[2] = topk.UserPref{W: geom.Vector{0.8, -0.3, 0.5}, K: 5}
+	if _, err := NewInstance(ps, negUs); !errors.Is(err, ErrNegativeWeight) {
+		t.Errorf("negative user weight: err = %v, want ErrNegativeWeight", err)
+	}
 
 	inst, err := NewInstance(ps, us)
 	if err != nil {

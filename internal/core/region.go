@@ -54,8 +54,8 @@ func (r *Region) Area2D() float64 {
 	return a
 }
 
-// regionFromTree collects reported leaves into a Region and merges stats.
-func regionFromTree(tr *celltree.Tree, m int, st Stats) *Region {
+// treeStats merges the arrangement's counters into the run's stats st.
+func treeStats(tr *celltree.Tree, st Stats) Stats {
 	st.Cells = tr.Stats.CellsCreated
 	st.Splits = tr.Stats.Splits
 	st.ContainmentTests += tr.Stats.ContainmentTests
@@ -70,7 +70,12 @@ func regionFromTree(tr *celltree.Tree, m int, st Stats) *Region {
 	// +=, not =: the hull-membership LPs ran core-side and are already in
 	// st; the tree's counters add the classification and redundancy solves.
 	st.addLP(tr.Stats.LP)
-	reg := &Region{Dim: tr.Dim, M: m, Stats: st}
+	return st
+}
+
+// regionFromTree collects reported leaves into a Region and merges stats.
+func regionFromTree(tr *celltree.Tree, m int, st Stats) *Region {
+	reg := &Region{Dim: tr.Dim, M: m, Stats: treeStats(tr, st)}
 	for _, leaf := range tr.ReportedLeaves() {
 		// FullPolytope, not Polytope: the exported H-representation is the
 		// raw split history, independent of the arrangement's internal

@@ -222,13 +222,3 @@ func InConvexHullCounted(q Vector, pts []Vector, ctr *lp.Counters) bool {
 // hullTol relaxes the convex-combination equalities by a hair so that
 // points numerically identical to a hull member are recognized as inside.
 const hullTol = 1e-9
-
-// InConvexHullIdx is InConvexHull over the subset pts[idx[0]], pts[idx[1]],
-// ... without materializing the subset.
-func InConvexHullIdx(q Vector, pts []Vector, idx []int) bool {
-	sub := make([]Vector, len(idx))
-	for i, j := range idx {
-		sub[i] = pts[j]
-	}
-	return InConvexHull(q, sub)
-}

@@ -73,17 +73,6 @@ func TestInConvexHull(t *testing.T) {
 	}
 }
 
-func TestInConvexHullIdx(t *testing.T) {
-	pts := []Vector{{0, 0}, {9, 9}, {1, 0}, {0, 1}}
-	idx := []int{0, 2, 3} // the unit triangle, skipping the decoy
-	if !InConvexHullIdx(Vector{0.3, 0.3}, pts, idx) {
-		t.Error("point should be in sub-hull")
-	}
-	if InConvexHullIdx(Vector{2, 2}, pts, idx) {
-		t.Error("point should be outside sub-hull")
-	}
-}
-
 // TestHullInvariant checks conv(V) = conv(pts): every original point must be
 // a convex combination of the reported extreme points, in dims 2..4 (the
 // weight-space dimensionalities exercised by the paper's d = 3..5).

@@ -14,10 +14,11 @@ import (
 // memory instead of chasing per-product heap vectors.
 //
 // The actual loops live in internal/kern: each entry point validates
-// its arguments and dispatches once per call to kern's
-// width-specialized blocked kernels, which reproduce kern's verbatim
-// copies of the historical loops bit for bit (see kern's package
-// comment for the exact contract and the NaN-payload caveat).
+// its arguments and calls the kern loop once per matrix. DotRows runs
+// kern's width-specialized blocked kernel, which reproduces kern's
+// verbatim copy of the historical loop bit for bit (see kern's package
+// comment for the exact contract and the NaN-payload caveat); RowMax
+// is a plain strictly-greater loop.
 //
 // Bit-identity contract: for every row r, the result equals
 // w.Dot(row_r) exactly — same multiplication pairs, same accumulation
@@ -27,7 +28,7 @@ import (
 // guarantee rests on.
 
 // DotRows computes out[r] = w · flat[r*d : (r+1)*d] for every r in
-// [0, len(out)) via the blocked kernels. flat must hold at least
+// [0, len(out)) via the blocked kernel. flat must hold at least
 // len(out)*d values and w must have length d. out must not alias w
 // (never the case in-repo: outputs are scratch buffers, weights are
 // user vectors).
@@ -53,14 +54,14 @@ func DotRows(flat []float64, d int, w Vector, out []float64) {
 }
 
 // RowMax widens max (length d) to the componentwise maximum of itself
-// and the rows of flat, via the blocked kernels. It is the
-// bound-maintenance helper of the layered index: a layer's
-// per-dimension maxima, dotted with a non-negative weight vector,
-// upper-bound every score in the layer. flat must hold whole rows (a
-// multiple of d values) and max must have length d; like DotRows,
-// RowMax panics on a mismatch rather than silently ignoring a ragged
-// trailing partial row, which would leave the bound unsound for
-// whatever the caller meant the tail to be. max must not alias flat.
+// and the rows of flat. It is the bound-maintenance helper of the
+// layered index: a layer's per-dimension maxima, dotted with a
+// non-negative weight vector, upper-bound every score in the layer.
+// flat must hold whole rows (a multiple of d values) and max must have
+// length d; like DotRows, RowMax panics on a mismatch rather than
+// silently ignoring a ragged trailing partial row, which would leave the
+// bound unsound for whatever the caller meant the tail to be. max must
+// not alias flat.
 func RowMax(flat []float64, d int, max []float64) {
 	// The bound length check runs BEFORE the d == 0 early return, so a
 	// caller passing a stale non-empty bound for a zero-dimensional matrix

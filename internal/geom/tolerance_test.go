@@ -86,7 +86,7 @@ func TestReduceCellKeepsPointSet(t *testing.T) {
 		{W: Vector{2, 2, 0}, T: 0.9},   // implied by the first row (LP phase)
 		{W: Vector{0, 1, -1}, T: -0.3}, // cuts the box
 	}
-	red, st := ReduceCell(d, hs, lo, hi)
+	red, st, _ := ReduceCellBasis(d, hs, lo, hi, nil, nil, nil)
 	if st.BoxDropped != 2 {
 		t.Fatalf("BoxDropped = %d, want 2 (stats %+v)", st.BoxDropped, st)
 	}

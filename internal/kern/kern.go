@@ -1,27 +1,28 @@
-// Package kern holds the blocked, SIMD-friendly numeric kernels behind
-// the engine's two hottest inner loops: batched weight-vector-times-row
-// scoring (the layered top-k index) and simplex pivot row elimination
-// (the LP substrate). It is a leaf package — no
-// imports beyond the standard library — so both internal/geom and
-// internal/lp can sit on top of it.
+// Package kern holds the numeric kernels behind the engine's inner
+// loops: batched weight-vector-times-row scoring (the layered top-k
+// index), the componentwise row maxima that bound the index's blocks,
+// and simplex pivot row elimination (the LP substrate). It is a leaf
+// package — no imports beyond the standard library — so both
+// internal/geom and internal/lp can sit on top of it.
 //
 // # Bit-identity contract
 //
-// Every fast kernel in this package reproduces its scalar reference
-// (the *Scalar twin, a verbatim copy of the historical loop) bit for
-// bit on every input — infinities, subnormals, and signed zeros
-// included. The single exception is NaN payload bits: when both
-// operands of a hardware add or multiply are NaNs, x86 propagates
-// whichever operand the compiler scheduled first, and Go leaves that
-// order unspecified — so two code shapes computing the identical
-// operation tree can return NaNs with different payloads. NaN-ness
-// itself is value-determined and therefore identical (the differential
-// fuzzers pin exact bits for every non-NaN result and NaN ⇔ NaN
-// otherwise), and the engine's finite-data paths never produce NaNs.
-// The engine's determinism guarantees rest on this: regions,
-// arrangements, and all algorithmic stats must be byte-identical to
-// what the historical scalar loops computed, so a kernel may only
-// reorganize work that IEEE 754 arithmetic is indifferent to:
+// Every blocked kernel in this package (DotRows, ScaleRow, SubScaled)
+// reproduces its scalar reference (the *Scalar twin, a verbatim copy of
+// the historical loop) bit for bit on every input — infinities,
+// subnormals, and signed zeros included. The single exception is NaN
+// payload bits: when both operands of a hardware add or multiply are
+// NaNs, x86 propagates whichever operand the compiler scheduled first,
+// and Go leaves that order unspecified — so two code shapes computing
+// the identical operation tree can return NaNs with different payloads.
+// NaN-ness itself is value-determined and therefore identical (the
+// differential fuzzers pin exact bits for every non-NaN result and
+// NaN ⇔ NaN otherwise), and the engine's finite-data paths never
+// produce NaNs. The engine's determinism guarantees rest on this:
+// regions, arrangements, and all algorithmic stats must be
+// byte-identical to what the historical scalar loops computed, so a
+// kernel may only reorganize work that IEEE 754 arithmetic is
+// indifferent to:
 //
 //   - Dot products keep the exact association order of the scalar
 //     kernel: the same multiplication pairs, accumulated into the same
@@ -31,10 +32,6 @@
 //     folded as (s0+s1)+(s2+s3). Blocking happens only ACROSS rows:
 //     processing four rows per trip changes instruction interleaving,
 //     never any row's own accumulation tree.
-//   - Componentwise maxima are order-insensitive only under a fixed
-//     comparison direction; the kernel keeps the scalar's exact
-//     strictly-greater update per column in row order, so ties, -0 vs
-//     +0, and NaN behavior match the reference.
 //   - Pivot row updates (scale, subtract-scaled) are elementwise with
 //     no cross-element accumulation, so unrolling is trivially exact.
 //     What would NOT be exact is folding the pivot-row scale into the
@@ -42,21 +39,25 @@
 //     differently), which is why the elimination kernel takes the
 //     already-scaled pivot row instead of fusing the multiply.
 //
+// RowMax is the one loop without a blocked form: it is the historical
+// row-major loop itself, one strictly-greater comparison per element,
+// and runs only while the top-k index is built.
+//
 // # Aliasing
 //
-// The fast kernels hoist the weight vector (and extrema) into locals
-// once per call, which is only equivalent to the scalar reference when
-// the output does not alias the weights/bounds. No caller in this
-// repository aliases them; the contract is documented on each kernel.
+// The fast kernels hoist the weight vector into locals once per call,
+// which is only equivalent to the scalar reference when the output does
+// not alias the weights. No caller in this repository aliases them; the
+// contract is documented on each kernel.
 //
 // # Dispatch
 //
-// DotRows and RowMax dispatch once per call (per matrix, not per row)
-// on the column count, with dedicated fully-unrolled variants for the
+// DotRows dispatches once per call (per matrix, not per row) on the
+// column count, with dedicated fully-unrolled variants for the
 // d ∈ {3, 4, 5, 8} the workloads use and a 4-row-blocked generic path
-// for the rest. The differential fuzzers in this package
-// (FuzzKernel*) pin fast-vs-scalar byte identity over arbitrary float
-// bit patterns; see also lp's pivot parity fuzzer.
+// for the rest. The differential fuzzers in this package (FuzzKernel*)
+// pin fast-vs-scalar byte identity over arbitrary float bit patterns;
+// see also lp's pivot parity fuzzer.
 package kern
 
 // DotRows computes out[r] = w · flat[r*d : (r+1)*d] for every r in
@@ -254,215 +255,12 @@ func dotRowsBlocked(flat []float64, d int, w, out []float64) {
 }
 
 // RowMax widens max (length d >= 1) to the componentwise maximum of
-// itself and the rows of flat (len a multiple of d), bit-identical to
-// RowMaxScalar: the same strictly-greater update per column, in row
-// order. max must not alias flat.
+// itself and the rows of flat (len a multiple of d): one strictly-greater
+// comparison per element, in row order. max must not alias flat.
 func RowMax(flat []float64, d int, max []float64) {
-	switch d {
-	case 3:
-		rowMax3(flat, max)
-	case 4:
-		rowMax4(flat, max)
-	case 5:
-		rowMax5(flat, max)
-	default:
-		rowMaxBlocked(flat, d, max)
-	}
-}
-
-func rowMax3(flat, max []float64) {
-	m0, m1, m2 := max[0], max[1], max[2]
-	n := len(flat) / 3
-	r := 0
-	for ; r+4 <= n; r += 4 {
-		f := flat[r*3 : r*3+12]
-		if f[0] > m0 {
-			m0 = f[0]
-		}
-		if f[1] > m1 {
-			m1 = f[1]
-		}
-		if f[2] > m2 {
-			m2 = f[2]
-		}
-		if f[3] > m0 {
-			m0 = f[3]
-		}
-		if f[4] > m1 {
-			m1 = f[4]
-		}
-		if f[5] > m2 {
-			m2 = f[5]
-		}
-		if f[6] > m0 {
-			m0 = f[6]
-		}
-		if f[7] > m1 {
-			m1 = f[7]
-		}
-		if f[8] > m2 {
-			m2 = f[8]
-		}
-		if f[9] > m0 {
-			m0 = f[9]
-		}
-		if f[10] > m1 {
-			m1 = f[10]
-		}
-		if f[11] > m2 {
-			m2 = f[11]
-		}
-	}
-	for ; r < n; r++ {
-		f := flat[r*3 : r*3+3]
-		if f[0] > m0 {
-			m0 = f[0]
-		}
-		if f[1] > m1 {
-			m1 = f[1]
-		}
-		if f[2] > m2 {
-			m2 = f[2]
-		}
-	}
-	max[0], max[1], max[2] = m0, m1, m2
-}
-
-func rowMax4(flat, max []float64) {
-	m0, m1, m2, m3 := max[0], max[1], max[2], max[3]
-	n := len(flat) / 4
-	r := 0
-	for ; r+2 <= n; r += 2 {
-		f := flat[r*4 : r*4+8]
-		if f[0] > m0 {
-			m0 = f[0]
-		}
-		if f[1] > m1 {
-			m1 = f[1]
-		}
-		if f[2] > m2 {
-			m2 = f[2]
-		}
-		if f[3] > m3 {
-			m3 = f[3]
-		}
-		if f[4] > m0 {
-			m0 = f[4]
-		}
-		if f[5] > m1 {
-			m1 = f[5]
-		}
-		if f[6] > m2 {
-			m2 = f[6]
-		}
-		if f[7] > m3 {
-			m3 = f[7]
-		}
-	}
-	if r < n {
-		f := flat[r*4 : r*4+4]
-		if f[0] > m0 {
-			m0 = f[0]
-		}
-		if f[1] > m1 {
-			m1 = f[1]
-		}
-		if f[2] > m2 {
-			m2 = f[2]
-		}
-		if f[3] > m3 {
-			m3 = f[3]
-		}
-	}
-	max[0], max[1], max[2], max[3] = m0, m1, m2, m3
-}
-
-func rowMax5(flat, max []float64) {
-	m0, m1, m2, m3, m4 := max[0], max[1], max[2], max[3], max[4]
-	n := len(flat) / 5
-	r := 0
-	for ; r+2 <= n; r += 2 {
-		f := flat[r*5 : r*5+10]
-		if f[0] > m0 {
-			m0 = f[0]
-		}
-		if f[1] > m1 {
-			m1 = f[1]
-		}
-		if f[2] > m2 {
-			m2 = f[2]
-		}
-		if f[3] > m3 {
-			m3 = f[3]
-		}
-		if f[4] > m4 {
-			m4 = f[4]
-		}
-		if f[5] > m0 {
-			m0 = f[5]
-		}
-		if f[6] > m1 {
-			m1 = f[6]
-		}
-		if f[7] > m2 {
-			m2 = f[7]
-		}
-		if f[8] > m3 {
-			m3 = f[8]
-		}
-		if f[9] > m4 {
-			m4 = f[9]
-		}
-	}
-	if r < n {
-		f := flat[r*5 : r*5+5]
-		if f[0] > m0 {
-			m0 = f[0]
-		}
-		if f[1] > m1 {
-			m1 = f[1]
-		}
-		if f[2] > m2 {
-			m2 = f[2]
-		}
-		if f[3] > m3 {
-			m3 = f[3]
-		}
-		if f[4] > m4 {
-			m4 = f[4]
-		}
-	}
-	max[0], max[1], max[2], max[3], max[4] = m0, m1, m2, m3, m4
-}
-
-// rowMaxBlocked processes four rows per trip column-wise: per column
-// the running maximum is held in a register across the four rows, with
-// the comparisons in the scalar's row order.
-func rowMaxBlocked(flat []float64, d int, max []float64) {
-	n := len(flat) / d
-	r := 0
-	for ; r+4 <= n; r += 4 {
-		f := flat[r*d : r*d+4*d]
-		for j := 0; j < d; j++ {
-			m := max[j]
-			if v := f[j]; v > m {
-				m = v
-			}
-			if v := f[d+j]; v > m {
-				m = v
-			}
-			if v := f[2*d+j]; v > m {
-				m = v
-			}
-			if v := f[3*d+j]; v > m {
-				m = v
-			}
-			max[j] = m
-		}
-	}
-	for ; r < n; r++ {
-		f := flat[r*d : r*d+d]
-		for j, x := range f {
+	for off := 0; off+d <= len(flat); off += d {
+		row := flat[off : off+d : off+d]
+		for j, x := range row {
 			if x > max[j] {
 				max[j] = x
 			}

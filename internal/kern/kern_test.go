@@ -84,33 +84,6 @@ func TestDotRowsMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRowMaxMinMatchesScalar pins the blocked maxima kernels
-// bit-identical to the scalar loop, seeded bounds included (the
-// kernels widen, not overwrite).
-func TestRowMaxMinMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for d := 1; d <= 20; d++ {
-		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 65} {
-			flat := make([]float64, n*d)
-			seed := make([]float64, d)
-			for trial := 0; trial < 8; trial++ {
-				fillTricky(flat, rng)
-				fillTricky(seed, rng)
-
-				fastMax := append([]float64(nil), seed...)
-				refMax := append([]float64(nil), seed...)
-				RowMax(flat, d, fastMax)
-				RowMaxScalar(flat, d, refMax)
-				if i, ok := bitsEqual(fastMax, refMax); !ok {
-					t.Fatalf("RowMax d=%d n=%d trial=%d: col %d fast=%x scalar=%x",
-						d, n, trial, i,
-						math.Float64bits(fastMax[i]), math.Float64bits(refMax[i]))
-				}
-			}
-		}
-	}
-}
-
 // TestPivotKernelsMatchScalar pins ScaleRow and SubScaled bit-identical
 // to the historical elementwise loops, including the dst-longer-than-src
 // shape the simplex z-row update uses.
@@ -186,28 +159,6 @@ func FuzzKernelDotRows(f *testing.F) {
 	})
 }
 
-// FuzzKernelRowMaxMin differentially fuzzes the blocked maxima
-// kernels against the scalar reference.
-func FuzzKernelRowMaxMin(f *testing.F) {
-	f.Add([]byte{0x80, 0x01}, uint8(3), uint8(13))
-	f.Add([]byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 0}, uint8(5), uint8(4))
-	f.Fuzz(func(t *testing.T, data []byte, dRaw, nRaw uint8) {
-		d := int(dRaw)%20 + 1
-		n := int(nRaw) % 70
-		vals := decodeFloats(data, n*d+d)
-		flat, seed := vals[:n*d], vals[n*d:]
-
-		fastMax := append([]float64(nil), seed...)
-		refMax := append([]float64(nil), seed...)
-		RowMax(flat, d, fastMax)
-		RowMaxScalar(flat, d, refMax)
-		if i, ok := bitsEqual(fastMax, refMax); !ok {
-			t.Fatalf("RowMax d=%d n=%d: col %d fast=%x scalar=%x",
-				d, n, i, math.Float64bits(fastMax[i]), math.Float64bits(refMax[i]))
-		}
-	})
-}
-
 // FuzzKernelEliminate differentially fuzzes the pivot-row kernels
 // (scale + subtract-scaled) against the scalar references.
 func FuzzKernelEliminate(f *testing.F) {
@@ -239,10 +190,11 @@ func FuzzKernelEliminate(f *testing.F) {
 	})
 }
 
-// BenchmarkKernels covers the three kernel families across the widths
-// the workloads use (3..5 specialized, 8 and 16 blocked) and two row
-// scales; the .../scalar variants measure the historical loops for the
-// speedup ratio quoted in EXPERIMENTS.md.
+// BenchmarkKernels covers the blocked kernels — DotRows across the
+// widths the workloads use (3..5 specialized, 8 and 16 blocked) and two
+// row scales, and pivot elimination across tableau widths; the
+// .../scalar variants measure the historical loops for the speedup
+// ratio quoted in EXPERIMENTS.md.
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	for _, d := range []int{3, 4, 5, 8, 16} {
@@ -250,7 +202,6 @@ func BenchmarkKernels(b *testing.B) {
 			flat := make([]float64, rows*d)
 			w := make([]float64, d)
 			out := make([]float64, rows)
-			bound := make([]float64, d)
 			for i := range flat {
 				flat[i] = rng.Float64()
 			}
@@ -269,20 +220,6 @@ func BenchmarkKernels(b *testing.B) {
 				b.SetBytes(int64(rows * d * 8))
 				for i := 0; i < b.N; i++ {
 					DotRowsScalar(flat, d, w, out)
-				}
-			})
-			b.Run("RowMax/"+name, func(b *testing.B) {
-				b.SetBytes(int64(rows * d * 8))
-				for i := 0; i < b.N; i++ {
-					copy(bound, flat[:d])
-					RowMax(flat, d, bound)
-				}
-			})
-			b.Run("RowMax/"+name+"/scalar", func(b *testing.B) {
-				b.SetBytes(int64(rows * d * 8))
-				for i := 0; i < b.N; i++ {
-					copy(bound, flat[:d])
-					RowMaxScalar(flat, d, bound)
 				}
 			})
 		}

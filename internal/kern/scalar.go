@@ -1,12 +1,12 @@
 package kern
 
 // This file holds the scalar reference kernels: verbatim copies of the
-// historical loops the fast paths replaced (geom.DotRows / RowMax as of
-// the layered-index PR, and geom's dot). The engine never
-// runs them; they are what the differential tests, fuzzers, benchmarks
-// and the scan speed gate in this package compare the fast kernels
-// against — so they must never be "improved"; any change here moves the
-// bit-identity anchor itself.
+// historical loops the fast paths replaced (geom.DotRows as of the
+// layered-index PR, geom's dot, and the simplex pivot loops). The engine
+// never runs them; they are what the differential tests, fuzzers,
+// benchmarks and the scan speed gate in this package compare the fast
+// kernels against — so they must never be "improved"; any change here
+// moves the bit-identity anchor itself.
 
 // dotScalar is the four-way-unrolled inner-product kernel (verbatim
 // geom.dot): stride-4 lanes s0..s3, remainder into s0, folded as
@@ -62,19 +62,6 @@ func DotRowsScalar(flat []float64, d int, w, out []float64) {
 	}
 	if r < n {
 		out[r] = dotScalar(w, flat[r*d:r*d+d])
-	}
-}
-
-// RowMaxScalar is the historical RowMax loop: row-major, one
-// strictly-greater comparison per element.
-func RowMaxScalar(flat []float64, d int, max []float64) {
-	for off := 0; off+d <= len(flat); off += d {
-		row := flat[off : off+d : off+d]
-		for j, x := range row {
-			if x > max[j] {
-				max[j] = x
-			}
-		}
 	}
 }
 

@@ -88,11 +88,9 @@ const Eps = 1e-9
 const maxIter = 10000
 
 // degenerateRunFactor scales the anti-cycling threshold: after
-// degenerateRunFactor*(m+n) consecutive degenerate pivots the pivot rules
-// switch from Dantzig's rule to Bland's rule, whose termination guarantee
-// breaks cycles (see TestBealeCycling). The same threshold governs the
-// primal iteration in chooseEntering and the dual-simplex re-entry path in
-// ReSolveRHS.
+// degenerateRunFactor*(m+n) consecutive degenerate pivots chooseEntering
+// switches from Dantzig's rule to Bland's rule, whose termination
+// guarantee breaks cycles (see TestBealeCycling).
 const degenerateRunFactor = 2
 
 // blandSwitchAfter returns the degenerate-pivot run length after which a
@@ -126,19 +124,9 @@ type Workspace struct {
 	obj     []float64 // caller's objective (aliased, read-only)
 	degIter int       // consecutive degenerate pivots; switches to Bland's rule
 
-	// Counters accumulates pivot and warm-start statistics across solves;
+	// Counters accumulates pivot and solve statistics across solves;
 	// callers take deltas around call sites they want to attribute.
 	Counters Counters
-
-	// canPrimal: the basis is primal-feasible for the loaded program, so
-	// ResolveObjective may re-enter it with a new objective. canDual: the
-	// reduced-cost row is dual-feasible for the loaded objective, so
-	// ReSolveRHS may re-enter with a new right-hand side. inert: phase 1
-	// zeroed at least one redundant row, which hard-wired the old b into
-	// the tableau and forbids RHS re-entry.
-	canPrimal bool
-	canDual   bool
-	inert     bool
 }
 
 // pool backs the package-level convenience wrappers.
@@ -272,162 +260,7 @@ func (w *Workspace) solve(c []float64, row func(int) []float64, b []float64) Res
 			return Result{Status: Infeasible}
 		}
 	}
-	return w.finishPhase2()
-}
-
-// finishPhase2 runs phase 2 and records the re-entry capabilities the end
-// state supports.
-func (w *Workspace) finishPhase2() Result {
-	r := w.phase2()
-	switch r.Status {
-	case Optimal:
-		w.canPrimal = true
-		w.canDual = !w.inert
-	case Unbounded:
-		// The basis is still primal-feasible — only the objective escaped —
-		// so a different objective may re-enter it; the reduced-cost row is
-		// not dual-feasible, so RHS re-entry may not.
-		w.canPrimal = true
-		w.canDual = false
-	default:
-		w.canPrimal = false
-		w.canDual = false
-	}
-	return r
-}
-
-// ResolveObjective re-solves the loaded program with a new objective from
-// the current basis, skipping the load and phase 1 entirely (the basis is
-// already primal-feasible; only reduced costs change). It returns ok=false
-// — and touches nothing — when the workspace's last solve did not leave a
-// re-enterable basis; the caller should then solve cold. Verdicts and
-// optima are identical to a cold solve of the same program: both terminate
-// at the same optimality condition under the same tolerances, only the
-// pivot path (and count) differs.
-func (w *Workspace) ResolveObjective(c []float64) (Result, bool) {
-	if !w.canPrimal || len(c) != w.n {
-		w.Counters.WarmMisses++
-		return Result{}, false
-	}
-	w.Counters.WarmHits++
-	w.obj = c
-	w.degIter = 0
-	return w.finishPhase2(), true
-}
-
-// ReSolveRHS re-solves the loaded program with a new right-hand side b
-// from the current basis by dual simplex: the reduced-cost row is already
-// dual-feasible, so only primal feasibility needs repair — the classic
-// reinstatement that needs no phase 1. It returns ok=false — and touches
-// nothing — when the last solve did not end Optimal (or phase 1 zeroed a
-// redundant row, which bakes the old b into the tableau). len(b) must
-// equal the loaded constraint count. Verdicts match a cold solve of the
-// same program; only the pivot path differs.
-func (w *Workspace) ReSolveRHS(b []float64) (Result, bool) {
-	if !w.canDual || len(b) != w.m {
-		w.Counters.WarmMisses++
-		return Result{}, false
-	}
-	w.Counters.WarmHits++
-	// New transformed RHS: the slack block of the tableau is B⁻¹·S (S the
-	// load-time row-sign matrix) and the stored RHS is B⁻¹·S·b, so
-	// rhs'_i = Σ_j tab[i][n+j]·b_j — computable in place, row by row, from
-	// columns the update never touches.
-	for i := 0; i < w.m; i++ {
-		ri := w.tab[i*w.nCols : (i+1)*w.nCols]
-		acc := 0.0
-		for j := 0; j < w.nSlack; j++ {
-			acc += ri[w.n+j] * b[j]
-		}
-		ri[w.rhsCol] = acc
-	}
-	w.degIter = 0
-	limit := w.n + w.nSlack
-	for iter := 0; iter < maxIter; iter++ {
-		// Leaving row: most negative RHS (Dantzig), smallest basis index
-		// (Bland) after a degenerate run — the same switchover rule, with
-		// the same named threshold, as the primal iteration.
-		row := -1
-		if w.degIter > blandSwitchAfter(w.m, w.n) {
-			for i := 0; i < w.m; i++ {
-				if w.tab[i*w.nCols+w.rhsCol] < -Eps &&
-					(row < 0 || w.basis[i] < w.basis[row]) {
-					row = i
-				}
-			}
-		} else {
-			worst := -Eps
-			for i := 0; i < w.m; i++ {
-				if v := w.tab[i*w.nCols+w.rhsCol]; v < worst {
-					worst = v
-					row = i
-				}
-			}
-		}
-		if row < 0 {
-			// Primal feasibility restored; the unchanged reduced-cost row is
-			// still dual-feasible, so the basis is optimal for the new b.
-			return w.dualOptimal(), true
-		}
-		// Entering column: dual ratio test over negative row entries,
-		// minimizing z_j / -tab[row][j]; ties break on smallest column
-		// index (Bland), preserving dual feasibility of z.
-		ri := w.tab[row*w.nCols : (row+1)*w.nCols]
-		col := -1
-		bestRatio := math.Inf(1)
-		for j := 0; j < limit; j++ {
-			a := ri[j]
-			if a >= -Eps {
-				continue
-			}
-			ratio := w.z[j] / -a
-			if ratio < bestRatio-Eps {
-				bestRatio = ratio
-				col = j
-			}
-		}
-		if col < 0 {
-			// A row demands a negative value but every coefficient is
-			// non-negative: the new system is infeasible. The reduced-cost
-			// row is untouched, so further ReSolveRHS chains remain legal.
-			w.canPrimal = false
-			return Result{Status: Infeasible}, true
-		}
-		if bestRatio <= Eps {
-			w.degIter++
-		} else {
-			w.degIter = 0
-		}
-		w.pivot(row, col)
-		eliminateAux(w.z, w.tab[row*w.nCols:(row+1)*w.nCols], col)
-	}
-	w.canPrimal = false
-	w.canDual = false
-	return Result{}, false
-}
-
-// dualOptimal packages the solution after a successful dual-simplex
-// re-entry (mirrors the tail of phase2).
-func (w *Workspace) dualOptimal() Result {
-	x := w.grow(&w.x, w.n)
-	for j := range x {
-		x[j] = 0
-	}
-	for i := 0; i < w.m; i++ {
-		if w.basis[i] < w.n {
-			x[w.basis[i]] = w.tab[i*w.nCols+w.rhsCol]
-		}
-	}
-	obj := 0.0
-	for j := 0; j < w.n; j++ {
-		if x[j] < 0 && x[j] > -Eps {
-			x[j] = 0
-		}
-		obj += w.obj[j] * x[j]
-	}
-	w.canPrimal = true
-	w.canDual = true
-	return Result{Status: Optimal, X: x, Obj: obj}
+	return w.phase2()
 }
 
 // load fills the tableau for the given program. One artificial variable is
@@ -440,9 +273,6 @@ func (w *Workspace) load(c []float64, row func(int) []float64, b []float64) {
 	w.nArt = 0
 	w.degIter = 0
 	w.obj = c
-	w.canPrimal = false
-	w.canDual = false
-	w.inert = false
 	for i := 0; i < m; i++ {
 		if b[i] < -Eps {
 			w.nArt++
@@ -538,12 +368,10 @@ func (w *Workspace) phase1() bool {
 			// The row is all-zero over real variables: redundant constraint.
 			// Leave the artificial basic at level zero; mark the row inert by
 			// zeroing it (it can never be chosen as a ratio-test row with a
-			// positive pivot element). Zeroing discards the row's dependence
-			// on b, so RHS re-entry is off the table for this solve.
+			// positive pivot element).
 			for j := range r {
 				r[j] = 0
 			}
-			w.inert = true
 		}
 	}
 	return true

@@ -163,96 +163,6 @@ func TestFeaserWarmParentChild(t *testing.T) {
 	t.Logf("warm hits=%d misses=%d", warm.Counters.WarmHits, warm.Counters.WarmMisses)
 }
 
-// TestWorkspaceResolveObjective: chained directional solves over one
-// feasible region (the MBB pattern) must match cold solves exactly in
-// status and within tolerance in optimum and witness objective.
-func TestWorkspaceResolveObjective(t *testing.T) {
-	rng := rand.New(rand.NewSource(403))
-	var warm, cold Workspace
-	chains := 0
-	for it := 0; it < 2000 && chains < 1500; it++ {
-		c, A, b := randomLP(rng)
-		n := len(c)
-		first := warm.Maximize(c, A, b)
-		want := cold.Maximize(c, A, b)
-		if first.Status != want.Status {
-			t.Fatalf("it %d: base status %v vs %v", it, first.Status, want.Status)
-		}
-		if first.Status == Infeasible {
-			continue
-		}
-		for dir := 0; dir < 2*n; dir++ {
-			c2 := make([]float64, n)
-			c2[dir/2] = 1
-			if dir%2 == 1 {
-				c2[dir/2] = -1
-			}
-			got, ok := warm.ResolveObjective(c2)
-			if !ok {
-				t.Fatalf("it %d dir %d: re-entry refused after status %v", it, dir, first.Status)
-			}
-			wantd := cold.Maximize(c2, A, b)
-			if got.Status != wantd.Status {
-				t.Fatalf("it %d dir %d: status %v vs %v", it, dir, got.Status, wantd.Status)
-			}
-			if got.Status == Optimal && !almostEqual(got.Obj, wantd.Obj, 1e-6) {
-				t.Fatalf("it %d dir %d: obj %v vs %v", it, dir, got.Obj, wantd.Obj)
-			}
-			chains++
-		}
-	}
-	if chains < 1000 {
-		t.Fatalf("only %d chained re-solves, want >= 1000", chains)
-	}
-	if warm.Counters.Pivots >= cold.Counters.Pivots {
-		t.Errorf("objective re-entry saved no pivots: warm %d vs cold %d",
-			warm.Counters.Pivots, cold.Counters.Pivots)
-	}
-	t.Logf("chains=%d pivots warm=%d cold=%d", chains, warm.Counters.Pivots, cold.Counters.Pivots)
-}
-
-// TestWorkspaceReSolveRHS: the dual-simplex reinstatement must agree with
-// cold solves across random RHS perturbations of one program (the hull
-// membership pattern: same matrix, query-dependent b).
-func TestWorkspaceReSolveRHS(t *testing.T) {
-	rng := rand.New(rand.NewSource(404))
-	var warm, cold Workspace
-	chains := 0
-	for it := 0; it < 4000 && chains < 1500; it++ {
-		c, A, b := randomLP(rng)
-		first := warm.Maximize(c, A, b)
-		if first.Status != Optimal {
-			continue
-		}
-		for step := 0; step < 4; step++ {
-			b2 := make([]float64, len(b))
-			for i := range b2 {
-				b2[i] = b[i] + rng.NormFloat64()
-			}
-			got, ok := warm.ReSolveRHS(b2)
-			if !ok {
-				// Legal refusal (inert row from phase 1, budget); re-seed.
-				break
-			}
-			want := cold.Maximize(c, A, b2)
-			if got.Status != want.Status {
-				t.Fatalf("it %d step %d: status %v vs %v\nc=%v A=%v b2=%v",
-					it, step, got.Status, want.Status, c, A, b2)
-			}
-			if got.Status == Optimal && !almostEqual(got.Obj, want.Obj, 1e-6) {
-				t.Fatalf("it %d step %d: obj %v vs %v", it, step, got.Obj, want.Obj)
-			}
-			chains++
-		}
-	}
-	if chains < 1000 {
-		t.Fatalf("only %d RHS re-solves, want >= 1000", chains)
-	}
-	t.Logf("chains=%d pivots warm=%d cold=%d hits=%d misses=%d",
-		chains, warm.Counters.Pivots, cold.Counters.Pivots,
-		warm.Counters.WarmHits, warm.Counters.WarmMisses)
-}
-
 // TestFeaserCountersAccount checks the accounting identities: every keyed
 // solve is exactly one of {warm hit, warm miss + cold, cold}, and Sub/Add
 // round-trip deltas.

@@ -73,21 +73,28 @@ func TestAtLeastMatchesScan(t *testing.T) {
 	}
 }
 
+// TestAtLeastNegativeWeights pins the weight contract of AtLeast on a
+// multi-block index: w · maxima bounds a block only for w >= 0, so a
+// negative component panics (the engine rejects such weights with
+// core.ErrNegativeWeight), while a zero component is still answered with
+// the exact predicate set.
 func TestAtLeastNegativeWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ps := randProducts(rng, 400, 3)
 	ix := NewIndex(ps)
 	s := NewSearcher(ix)
-	w := geom.Vector{0.5, -0.3, 0.8}
-	got := s.AtLeast(w, 0.1, nil)
+	expectPanic(t, "negative weight", func() { s.AtLeast(geom.Vector{0.5, -0.3, 0.8}, 0.1, nil) })
+	expectPanic(t, "tiny negative weight", func() { s.AtLeast(geom.Vector{0, -1e-300, 1}, 0.1, nil) })
+	w := geom.Vector{0.5, 0, 0.8}
+	got := append([]int(nil), s.AtLeast(w, 0.1, nil)...)
 	sort.Ints(got)
 	want := naiveAtLeast(ps, w, 0.1)
 	if len(got) != len(want) {
-		t.Fatalf("negative weights: got %d ids, want %d", len(got), len(want))
+		t.Fatalf("zero weight: got %d ids, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("negative weights: id[%d]=%d, want %d", i, got[i], want[i])
+			t.Fatalf("zero weight: id[%d]=%d, want %d", i, got[i], want[i])
 		}
 	}
 }

@@ -55,10 +55,10 @@ const (
 	superRows = 256
 )
 
-// DefaultMaxLayers caps the dominance peel. Beyond the cap the remaining
+// maxLayers caps the dominance peel. Beyond the cap the remaining
 // products form a single tail layer: deep layers are touched so rarely
 // that finer peeling is not worth the build time.
-const DefaultMaxLayers = 8
+const maxLayers = 8
 
 // layerBandRows is the minimum layer thickness: consecutive peel rounds
 // are merged into one layer until it holds at least this many rows. A
@@ -73,20 +73,20 @@ const layerBandRows = 2 * superRows
 type indexLayer struct {
 	flat []float64 // row-major member attributes, len(ids)*d values
 	ids  []int     // global product id per row
-	// blockMax[b] bounds rows [b*blockRows, (b+1)*blockRows);
-	// superMax[sb] bounds rows [sb*superRows, (sb+1)*superRows).
-	blockMax [][]float64
-	superMax [][]float64
-	// blockFlat and superFlat are contiguous row-major views of the same
-	// maxima (the backing slab recomputeBounds fills): blockFlat row b ==
-	// blockMax[b], superFlat row sb == superMax[sb]. They exist so a
-	// query can score a whole layer's bounds with one batched DotRows
-	// call — dispatch once per matrix, not once per granule.
+	// blockFlat row b bounds rows [b*blockRows, (b+1)*blockRows);
+	// superFlat row sb bounds rows [sb*superRows, (sb+1)*superRows).
+	// Both are row-major d-column matrices, so a query scores a whole
+	// layer's bounds with one batched DotRows call — dispatch once per
+	// matrix, not once per granule.
 	blockFlat []float64
 	superFlat []float64
 }
 
 func (ly *indexLayer) rows() int { return len(ly.ids) }
+
+// blocks and supers count the layer's blocks and superblocks.
+func (ly *indexLayer) blocks() int { return (ly.rows() + blockRows - 1) / blockRows }
+func (ly *indexLayer) supers() int { return (ly.rows() + superRows - 1) / superRows }
 
 // Index is the layered all-top-k product index. It is immutable once
 // built, so any number of goroutines may search it concurrently.
@@ -98,27 +98,17 @@ type Index struct {
 	// lives at [i*dim, (i+1)*dim). Layers hold packed copies.
 	rowData []float64
 
-	layers    []*indexLayer
-	maxLayers int
+	layers []*indexLayer
 }
 
-// NewIndex builds the layered index over the product set with the
-// default peel cap. Product ids are the slice positions.
+// NewIndex builds the layered index over the product set. Product ids
+// are the slice positions.
 func NewIndex(products []geom.Vector) *Index {
-	return NewIndexLayers(products, DefaultMaxLayers)
-}
-
-// NewIndexLayers is NewIndex with an explicit cap on the number of
-// dominance layers (minimum 1: everything in one tail layer).
-func NewIndexLayers(products []geom.Vector, maxLayers int) *Index {
-	if maxLayers < 1 {
-		maxLayers = 1
-	}
 	d := 0
 	if len(products) > 0 {
 		d = len(products[0])
 	}
-	ix := &Index{dim: d, n: len(products), maxLayers: maxLayers}
+	ix := &Index{dim: d, n: len(products)}
 	ix.rowData = make([]float64, 0, len(products)*d)
 	for i, p := range products {
 		if len(p) != d {
@@ -164,7 +154,7 @@ func (ix *Index) build() {
 	next := make([]int, 0, len(remaining))
 	var layerIDs, band []int
 	for len(remaining) > 0 {
-		if len(ix.layers) == ix.maxLayers-1 {
+		if len(ix.layers) == maxLayers-1 {
 			// Peel cap reached: everything left joins the tail layer.
 			band = append(band, remaining...)
 			remaining = remaining[:0]
@@ -281,37 +271,22 @@ func (ix *Index) kdOrder(ids []int) {
 // computeBounds builds the layer's per-block and per-superblock maxima
 // from its rows (a layer always holds at least one row).
 func (ly *indexLayer) computeBounds(d int) {
-	n := ly.rows()
-	nb := (n + blockRows - 1) / blockRows
-	ns := (n + superRows - 1) / superRows
-	// One backing slab keeps the per-layer allocation count flat — and
-	// doubles as the contiguous bound matrices the batched queries score
-	// (blockFlat, then superFlat).
+	n, nb, ns := ly.rows(), ly.blocks(), ly.supers()
+	// One backing slab keeps the per-layer allocation count flat:
+	// blockFlat, then superFlat.
 	slab := make([]float64, (nb+ns)*d)
 	ly.blockFlat = slab[: nb*d : nb*d]
 	ly.superFlat = slab[nb*d:]
-	ly.blockMax = make([][]float64, 0, nb)
-	for b := 0; b < nb; b++ {
-		lo, hi := b*blockRows, (b+1)*blockRows
-		if hi > n {
-			hi = n
+	maxima := func(bounds []float64, granules, size int) {
+		for i := 0; i < granules; i++ {
+			lo, hi := i*size, min((i+1)*size, n)
+			m := bounds[i*d : (i+1)*d : (i+1)*d]
+			copy(m, ly.flat[lo*d:lo*d+d])
+			geom.RowMax(ly.flat[(lo+1)*d:hi*d], d, m)
 		}
-		bm := slab[b*d : (b+1)*d : (b+1)*d]
-		copy(bm, ly.flat[lo*d:lo*d+d])
-		geom.RowMax(ly.flat[(lo+1)*d:hi*d], d, bm)
-		ly.blockMax = append(ly.blockMax, bm)
 	}
-	ly.superMax = make([][]float64, 0, ns)
-	for sb := 0; sb < ns; sb++ {
-		lo, hi := sb*superRows, (sb+1)*superRows
-		if hi > n {
-			hi = n
-		}
-		sm := slab[(nb+sb)*d : (nb+sb+1)*d : (nb+sb+1)*d]
-		copy(sm, ly.flat[lo*d:lo*d+d])
-		geom.RowMax(ly.flat[(lo+1)*d:hi*d], d, sm)
-		ly.superMax = append(ly.superMax, sm)
-	}
+	maxima(ly.blockFlat, nb, blockRows)
+	maxima(ly.superFlat, ns, superRows)
 }
 
 // SearchStats aggregates the search-effort counters of indexed top-k
@@ -397,31 +372,34 @@ func heapWorse(sa float64, ia int, sb float64, ib int) bool {
 	return ia > ib
 }
 
-// Kth returns the top-k-th product (global id and score) for weight w,
-// byte-identical to KthScore over the product set: same ranking, same
-// tie-break, same float scores. It panics if k < 1 or k exceeds the
-// product count.
-func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
-	ix := s.ix
+// checkWeights panics unless w has the index's dimensionality and no
+// negative component: w · maxima bounds every w · row of a granule only
+// for w >= 0. The engine rejects negative weights at its boundary
+// (core.ErrNegativeWeight), so one reaching the index is a caller bug,
+// like an out-of-range k.
+func (ix *Index) checkWeights(w geom.Vector) {
 	if len(w) != ix.dim {
 		panic(fmt.Sprintf("topk: index query with %d weights, want %d", len(w), ix.dim))
 	}
+	for j, x := range w {
+		if x < 0 {
+			panic(fmt.Sprintf("topk: index query weight %d is %v < 0", j, x))
+		}
+	}
+}
+
+// Kth returns the top-k-th product (global id and score) for weight w,
+// byte-identical to KthScore over the product set: same ranking, same
+// tie-break, same float scores. It panics if k < 1, k exceeds the
+// product count, or w has a negative component.
+func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
+	ix := s.ix
+	ix.checkWeights(w)
 	if k < 1 {
 		panic(fmt.Sprintf("topk: user k=%d < 1", k))
 	}
 	if k > ix.n {
 		panic(fmt.Sprintf("topk: k=%d exceeds |P|=%d", k, ix.n))
-	}
-	// The bounds assume non-negative weights (w · maxima dominates every
-	// w · row only then). Preference vectors live on the unit simplex so
-	// this always holds in the engine; a hostile caller just loses the
-	// pruning, never correctness.
-	canPrune := true
-	for _, x := range w {
-		if x < 0 {
-			canPrune = false
-			break
-		}
 	}
 
 	if cap(s.hScore) < k {
@@ -431,16 +409,6 @@ func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 	s.hScore, s.hID = s.hScore[:0], s.hID[:0]
 	full := false
 
-	if !canPrune {
-		// No valid bounds: scan every block in layer order.
-		for _, ly := range ix.layers {
-			for b := 0; b*blockRows < ly.rows(); b++ {
-				full = s.scanBlock(ly, b, w, k, full)
-			}
-		}
-		return KthResult{Index: s.hID[0], Score: s.hScore[0]}
-	}
-
 	// Seed the queue with one bound per superblock, then expand
 	// best-first: popping a superblock queues its blocks' bounds, popping
 	// a block scans it. The heap root rises as fast as possible, and the
@@ -449,10 +417,7 @@ func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 	// pruned superblock soundly prunes every block under it.
 	s.queue = s.queue[:0]
 	for l, ly := range ix.layers {
-		ns := len(ly.superMax)
-		if ns == 0 {
-			continue
-		}
+		ns := ly.supers()
 		// One batched dot over the layer's contiguous superblock maxima:
 		// bit-identical to w.Dot per row, dispatched once per matrix.
 		bounds := s.growBounds(ns)
@@ -485,10 +450,7 @@ func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 			continue
 		}
 		lo := int(best.idx) * (superRows / blockRows)
-		hi := lo + superRows/blockRows
-		if nb := len(ly.blockMax); hi > nb {
-			hi = nb
-		}
+		hi := min(lo+superRows/blockRows, ly.blocks())
 		bb := s.bBounds[:hi-lo]
 		geom.DotRows(ly.blockFlat[lo*ix.dim:hi*ix.dim], ix.dim, w, bb)
 		for i, bd := range bb {
@@ -511,12 +473,8 @@ func (s *Searcher) prunedBlocks() int64 {
 			n++
 			continue
 		}
-		ly := s.ix.layers[g.layer]
 		lo := int(g.idx) * (superRows / blockRows)
-		hi := lo + superRows/blockRows
-		if nb := len(ly.blockMax); hi > nb {
-			hi = nb
-		}
+		hi := min(lo+superRows/blockRows, s.ix.layers[g.layer].blocks())
 		n += int64(hi - lo)
 	}
 	return n
@@ -568,53 +526,33 @@ func (s *Searcher) scanBlock(ly *indexLayer, b int, w geom.Vector, k int, full b
 // skipped when their componentwise-maxima bound falls below t; bounds and
 // scores use the same dot kernel and maxima only round monotonically, so
 // no product with score >= t is ever pruned and the result is exactly the
-// predicate set, byte-identical to a full scan. For weight vectors with a
-// negative component the bounds are invalid, so pruning is disabled and
-// every block is scanned. Output order is layer/row order, not sorted.
-// Skipped blocks count into Stats.LayerPrunes, scored rows into
-// Stats.ScannedProducts.
+// predicate set, byte-identical to a full scan. Output order is
+// layer/row order, not sorted. Skipped blocks count into
+// Stats.LayerPrunes, scored rows into Stats.ScannedProducts. It panics
+// if w has a negative component.
 func (s *Searcher) AtLeast(w geom.Vector, t float64, dst []int) []int {
 	ix := s.ix
-	if len(w) != ix.dim {
-		panic(fmt.Sprintf("topk: index query with %d weights, want %d", len(w), ix.dim))
-	}
-	canPrune := true
-	for _, x := range w {
-		if x < 0 {
-			canPrune = false
-			break
-		}
-	}
+	ix.checkWeights(w)
 	d := ix.dim
 	for _, ly := range ix.layers {
-		nb := len(ly.blockMax)
-		ns := len(ly.superMax)
-		var sBounds []float64
-		if canPrune && ns > 0 {
-			// Batched superblock bounds for the whole layer, then batched
-			// block bounds per surviving superblock: the same bound values
-			// (and hence the same prune/scan decisions and counters) as the
-			// per-granule dots, one matrix dispatch per batch.
-			sBounds = s.growBounds(ns)
-			geom.DotRows(ly.superFlat, d, w, sBounds)
-		}
+		nb, ns := ly.blocks(), ly.supers()
+		// Batched superblock bounds for the whole layer, then batched
+		// block bounds per surviving superblock: the same bound values
+		// (and hence the same prune/scan decisions and counters) as the
+		// per-granule dots, one matrix dispatch per batch.
+		sBounds := s.growBounds(ns)
+		geom.DotRows(ly.superFlat, d, w, sBounds)
 		for sb := 0; sb < ns; sb++ {
 			lo := sb * (superRows / blockRows)
-			hi := lo + superRows/blockRows
-			if hi > nb {
-				hi = nb
-			}
-			if canPrune && sBounds[sb] < t {
+			hi := min(lo+superRows/blockRows, nb)
+			if sBounds[sb] < t {
 				s.Stats.LayerPrunes += int64(hi - lo)
 				continue
 			}
-			var bBounds []float64
-			if canPrune {
-				bBounds = s.bBounds[:hi-lo]
-				geom.DotRows(ly.blockFlat[lo*d:hi*d], d, w, bBounds)
-			}
+			bBounds := s.bBounds[:hi-lo]
+			geom.DotRows(ly.blockFlat[lo*d:hi*d], d, w, bBounds)
 			for b := lo; b < hi; b++ {
-				if canPrune && bBounds[b-lo] < t {
+				if bBounds[b-lo] < t {
 					s.Stats.LayerPrunes++
 					continue
 				}

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,23 +38,44 @@ func gridWeight(rng *rand.Rand, d int) geom.Vector {
 
 // TestSearcherKthMatchesFullScan is the core byte-identity property: the
 // indexed search must return the exact result of the naive full product
-// scan — identity and score bits — across dimensionalities, sizes spanning
-// multiple blocks and layers, every k, and regardless of the peel cap
-// (any layer partition must be query-correct, only pruning quality may
-// differ).
+// scan — identity and score bits — across dimensionalities, every k, and
+// sizes spanning one block to many layers. Below layerBandRows an index
+// is a single layer; the larger sizes build several bands, and at
+// n=5000 and d <= 3 the peel reaches maxLayers, so its last layer is the
+// capped tail.
 func TestSearcherKthMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + rng.Intn(400)
-		d := 1 + rng.Intn(5)
-		ps := randomProducts(rng, n, d)
-		maxLayers := 1 + rng.Intn(6) // exercise tiny caps: tail-heavy indexes
-		ix := NewIndexLayers(ps, maxLayers)
+	check := func(ps []geom.Vector, d int) *Index {
+		t.Helper()
+		ix := NewIndex(ps)
 		s := NewSearcher(ix)
 		for q := 0; q < 20; q++ {
 			w := randomWeight(rng, d)
-			k := 1 + rng.Intn(n)
-			sameKth(t, "random", s.Kth(w, k), KthScore(ps, w, k))
+			k := 1 + rng.Intn(len(ps))
+			sameKth(t, fmt.Sprintf("n=%d d=%d", len(ps), d), s.Kth(w, k), KthScore(ps, w, k))
+		}
+		return ix
+	}
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(400)
+		d := 1 + rng.Intn(5)
+		check(randomProducts(rng, n, d), d)
+	}
+	for _, n := range []int{1500, 5000} {
+		for d := 2; d <= 5; d++ {
+			ix := check(randomProducts(rng, n, d), d)
+			want := 3
+			switch {
+			case n == 5000 && d <= 3:
+				want = maxLayers
+			case n == 5000:
+				want = 7
+			}
+			got := len(ix.layers)
+			t.Logf("n=%d d=%d: %d layers", n, d, got)
+			if got < want {
+				t.Errorf("n=%d d=%d: %d layers, want at least %d", n, d, got, want)
+			}
 		}
 	}
 }
@@ -133,9 +155,10 @@ func TestIndexAllTopKWorkersByteIdentical(t *testing.T) {
 
 // TestSearcherKthZeroAndNegativeWeights checks exactness where the naive
 // skyband prune is NOT trusted: zero weight components make dominated
-// products tie with their dominators, and negative components (a hostile
-// caller) disable pruning entirely. The indexed search must still equal
-// the full scan bit for bit.
+// products tie with their dominators. The indexed search must still
+// equal the full scan bit for bit. Negative components void the block
+// bounds, so the index rejects them (see TestIndexPanics and
+// TestAtLeastNegativeWeights).
 func TestSearcherKthZeroAndNegativeWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	for trial := 0; trial < 40; trial++ {
@@ -149,10 +172,6 @@ func TestSearcherKthZeroAndNegativeWeights(t *testing.T) {
 			w[rng.Intn(d)] = 0 // ties across dominance become possible
 			k := 1 + rng.Intn(n)
 			sameKth(t, "zero-weight", s.Kth(w, k), KthScore(ps, w, k))
-
-			h := randomWeight(rng, d)
-			h[rng.Intn(d)] = -0.3
-			sameKth(t, "negative-weight", s.Kth(h, k), KthScore(ps, h, k))
 		}
 	}
 }
@@ -208,6 +227,7 @@ func TestIndexPanics(t *testing.T) {
 	expectPanic(t, "k=0", func() { s.Kth(geom.Vector{1, 0}, 0) })
 	expectPanic(t, "k>|P|", func() { s.Kth(geom.Vector{1, 0}, 2) })
 	expectPanic(t, "query dim", func() { s.Kth(geom.Vector{1}, 1) })
+	expectPanic(t, "negative weight", func() { s.Kth(geom.Vector{0.5, -0.3}, 1) })
 }
 
 func expectPanic(t *testing.T, name string, f func()) {

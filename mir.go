@@ -48,8 +48,9 @@ import (
 )
 
 // User is a member of the population: a preference weight per product
-// attribute (weights should be non-negative and sum to 1) and the size k
-// of the top-k result the user considers.
+// attribute and the size k of the top-k result the user considers.
+// Weights must be finite and non-negative (NewAnalyzer, NewMonitor and
+// UserArrived reject others) and are expected to sum to 1.
 type User struct {
 	Weights []float64
 	K       int
@@ -126,7 +127,7 @@ type Analyzer struct {
 // NewAnalyzer validates the inputs and runs the all-top-k preprocessing.
 // Products are rows of attribute values in [0,1]; users supply simplex
 // weights of the same dimensionality and k between 1 and len(products).
-// A NaN or ±Inf attribute or weight is an error.
+// A NaN or ±Inf attribute or weight, or a negative weight, is an error.
 //
 // The inputs are deep-copied: callers may mutate or reuse their slices
 // after NewAnalyzer returns without corrupting the Analyzer.

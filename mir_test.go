@@ -301,6 +301,11 @@ func TestNewAnalyzerValidation(t *testing.T) {
 	if _, err := NewAnalyzer(ps, infUs, nil); err == nil {
 		t.Error("Inf user weight accepted")
 	}
+	negUs := append([]User(nil), us...)
+	negUs[1] = User{Weights: []float64{1.3, -0.3}, K: 3}
+	if _, err := NewAnalyzer(ps, negUs, nil); err == nil {
+		t.Error("negative user weight accepted")
+	}
 	us[0].K = 0
 	if _, err := NewAnalyzer(ps, us, nil); err == nil {
 		t.Error("k=0 accepted")
