@@ -2,10 +2,11 @@
 // region over a dynamic user population and serves it over HTTP.
 //
 // Population events are ingested through a bounded coalescing queue —
-// bursts that arrive while a maintenance pass runs are applied together
-// as ONE pass, with a region byte-identical to one-at-a-time application.
-// Reads are answered from epoch-stamped immutable snapshots and never
-// block ingestion.
+// a burst that arrives while a maintenance pass runs is applied by the
+// next pass, event by event, and published as one snapshot and epoch,
+// with a region byte-identical to one-at-a-time application. Reads are
+// answered from epoch-stamped immutable snapshots and never block
+// ingestion.
 //
 // Endpoints:
 //

@@ -113,11 +113,12 @@ func (s *server) stop() {
 }
 
 // writerLoop is the single consumer: each iteration drains the burst that
-// accumulated during the previous maintenance pass and applies it as ONE
-// Maintainer pass — N events, one staging sweep — then publishes a new
-// epoch. Coalescing is the daemon's throughput mechanism; the batch
-// determinism contract (byte-identical to one-at-a-time) is what makes it
-// invisible to clients.
+// accumulated during the previous maintenance pass, applies it with one
+// ApplyEvents call, and publishes one snapshot and epoch for it. The
+// Maintainer applies the burst's events one at a time, so coalescing saves
+// the per-event snapshot and epoch, not maintenance work; because the
+// result equals one-at-a-time application exactly, it is invisible to
+// clients.
 func (s *server) writerLoop() {
 	defer close(s.done)
 	var buf []queuedEvent

@@ -121,18 +121,20 @@ func Arrival(u User) MonitorEvent { return MonitorEvent{Arrive: true, User: u} }
 // Departure returns a departure event for the given handle.
 func Departure(handle int) MonitorEvent { return MonitorEvent{Handle: handle} }
 
-// ApplyEvents applies a batch of arrivals and departures as one
-// maintenance pass and returns one handle per event: the assigned handle
-// for arrivals (NextHandle()+i for the i-th arrival, exactly as if applied
-// one at a time), -1 for departures.
+// ApplyEvents applies a batch of arrivals and departures and returns one
+// handle per event: the assigned handle for arrivals (NextHandle()+i for
+// the i-th arrival, exactly as if applied one at a time), -1 for
+// departures.
 //
 // The batch is atomic: every event is validated up front against the
 // population state it would see in sequence — a departure may name an
 // arrival earlier in the same batch — and any invalid event rejects the
-// whole batch with no state change. The resulting region is byte-identical
-// to applying the events one at a time through UserArrived/UserDeparted;
-// coalescing changes only the work done, never the answer. Weight slices
-// are deep-copied; callers may reuse them afterward.
+// whole batch with no state change. A valid batch is then applied one
+// event at a time, so the region and Stats equal those of the same
+// events through UserArrived/UserDeparted, and the batch costs what they
+// would: it saves the caller per-event calls (and, in a daemon, the
+// per-event snapshots), not maintenance work. Weight slices are
+// deep-copied; callers may reuse them afterward.
 func (mo *Monitor) ApplyEvents(events []MonitorEvent) ([]int, error) {
 	evs := make([]core.Event, len(events))
 	for i, ev := range events {

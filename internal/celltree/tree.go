@@ -195,7 +195,7 @@ type Stats struct {
 	// individual leaves) where the router proved from the MBB
 	// classification of the pending events and the subtree bounds that no
 	// decision below can flip, and moved on without descending.
-	// TouchedFrontier counts leaves bucketed for re-verification (a report
+	// TouchedFrontier counts leaves handed to re-verification (a report
 	// demoted or an elimination revived by some event) — the cells a drain
 	// actually reprocesses. All three merge by summation.
 	RoutedLeaves    int

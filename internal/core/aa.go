@@ -33,27 +33,26 @@ func runAA(inst *Instance, m int, opts Options) (*aaRun, error) {
 	if err := inst.CheckM(m); err != nil {
 		return nil, err
 	}
-	run := &aaRun{
-		inst: inst,
-		m:    m,
-		nU:   len(inst.Users),
-		opts: opts,
-		tr:   celltree.New(geom.NewBox(inst.Dim, 0, 1)),
-		// Charge the instance's all-top-k preprocessing effort to the
-		// run's stats so the counters travel with every Region;
-		// incremental maintenance adds its per-arrival search effort on
-		// top.
-		st: inst.prepStats(),
-	}
+	run := newRun(inst, geom.NewBox(inst.Dim, 0, 1), m, opts)
 	run.seedRoot()
 	run.drain()
 	return run, nil
 }
 
-// prepStats returns Stats holding only the instance's all-top-k
-// preprocessing counters.
-func (inst *Instance) prepStats() Stats {
-	return Stats{ScannedProducts: inst.Prep.ScannedProducts, LayerPrunes: inst.Prep.LayerPrunes}
+// newRun returns a modeMIR run over box with every user counted in nU.
+// Its stats start from the instance's all-top-k preprocessing counters,
+// so they travel with every result; incremental maintenance adds its
+// per-arrival search effort on top. Other modes set their fields on the
+// result.
+func newRun(inst *Instance, box *geom.Polytope, m int, opts Options) *aaRun {
+	return &aaRun{
+		inst: inst,
+		m:    m,
+		nU:   len(inst.Users),
+		opts: opts,
+		tr:   celltree.New(box),
+		st:   Stats{ScannedProducts: inst.Prep.ScannedProducts, LayerPrunes: inst.Prep.LayerPrunes},
+	}
 }
 
 // runMode selects the loop's objective: computing the m-impact region, or

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"mir/internal/celltree"
 	"mir/internal/geom"
 	"mir/internal/topk"
 )
@@ -94,17 +93,11 @@ func SolveCOBestFirst(inst *Instance, m int, cost Cost, opts Options) (*COResult
 	if err := inst.CheckM(m); err != nil {
 		return nil, err
 	}
-	run := &aaRun{
-		inst:     inst,
-		m:        m,
-		nU:       len(inst.Users),
-		opts:     opts,
-		tr:       celltree.New(geom.NewBox(inst.Dim, 0, 1)),
-		mode:     modeMinCost,
-		costFn:   cost,
-		base:     make(geom.Vector, inst.Dim),
-		bestCost: math.Inf(1),
-	}
+	run := newRun(inst, geom.NewBox(inst.Dim, 0, 1), m, opts)
+	run.mode = modeMinCost
+	run.costFn = cost
+	run.base = make(geom.Vector, inst.Dim)
+	run.bestCost = math.Inf(1)
 	run.seedRoot()
 	run.drain()
 	if run.bestPoint == nil {
@@ -157,13 +150,7 @@ func AAWithBox(inst *Instance, m int, opts Options, box *geom.Polytope) (*Region
 	if err := inst.CheckM(m); err != nil {
 		return nil, err
 	}
-	run := &aaRun{
-		inst: inst,
-		m:    m,
-		nU:   len(inst.Users),
-		opts: opts,
-		tr:   celltree.New(box),
-	}
+	run := newRun(inst, box, m, opts)
 	// The specialized 2-D path reports regions that extend to the unit
 	// box; with a restricted box it remains valid (reported parts are
 	// intersected with the cell), so no special handling is needed.

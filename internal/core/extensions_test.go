@@ -242,11 +242,16 @@ func TestSolveBudgetedCO(t *testing.T) {
 			res.Coverage != res4.Coverage || res.Stats != res4.Stats {
 			t.Fatalf("trial %d: workers 1 and 4 differ:\n%+v\n%+v", trial, res, res4)
 		}
-		// The arrangement's LP and pruning counters must reach Stats, as
-		// they do for a region build.
+		// The arrangement's LP and pruning counters and the instance's
+		// all-top-k counters must reach Stats, as they do for a region
+		// build.
 		if res.Stats.Pivots == 0 || res.Stats.PruneLPTests == 0 {
 			t.Errorf("trial %d: Pivots %d, PruneLPTests %d: arrangement counters missing from %+v",
 				trial, res.Stats.Pivots, res.Stats.PruneLPTests, res.Stats)
+		}
+		if res.Stats.ScannedProducts == 0 || res.Stats.ScannedProducts != inst.Prep.ScannedProducts {
+			t.Errorf("trial %d: ScannedProducts %d, want the instance's nonzero %d",
+				trial, res.Stats.ScannedProducts, inst.Prep.ScannedProducts)
 		}
 		if res.Cost > budget+1e-6 {
 			t.Errorf("trial %d: cost %g > budget %g", trial, res.Cost, budget)
@@ -287,6 +292,9 @@ func TestSolveThresholdedIS(t *testing.T) {
 	}
 	if res.Coverage < m {
 		t.Errorf("coverage %d < m=%d", res.Coverage, m)
+	}
+	if res.Region.Stats.ScannedProducts == 0 {
+		t.Errorf("region Stats lack the all-top-k counters: %+v", res.Region.Stats)
 	}
 	sub, err := competitorInstance(ps, us, pIdx)
 	if err != nil {

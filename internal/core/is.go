@@ -70,17 +70,11 @@ func maxCoverage(inst *Instance, box *geom.Polytope, base geom.Vector, budget fl
 	if budget < 0 {
 		return nil, fmt.Errorf("core: negative budget %g", budget)
 	}
-	run := &aaRun{
-		inst:   inst,
-		m:      1, // unused in max-coverage mode
-		nU:     len(inst.Users),
-		opts:   opts,
-		tr:     celltree.New(box),
-		mode:   modeMaxCov,
-		budget: budget,
-		costFn: cost,
-		base:   base,
-	}
+	run := newRun(inst, box, 1, opts) // m is unused in max-coverage mode
+	run.mode = modeMaxCov
+	run.budget = budget
+	run.costFn = cost
+	run.base = base
 	// Seed the incumbent with the base position itself (cost zero).
 	run.bestPoint = base.Clone()
 	run.bestCov = inst.CountCovering(base)

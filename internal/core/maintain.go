@@ -26,12 +26,9 @@ import (
 // User indices are stable: removed slots are tombstoned, and new users
 // take fresh indices.
 type Maintainer struct {
-	products []geom.Vector
-	dim      int
-	m        int
-	opts     Options
+	m    int
+	opts Options
 
-	users  []topk.UserPref
 	alive  []bool
 	nAlive int
 
@@ -40,24 +37,24 @@ type Maintainer struct {
 	// searcher suffices.
 	search *topk.Searcher
 
+	// run holds the arrangement and the instance, whose user, threshold
+	// and halfspace arrays grow by one row per arrival (handles index
+	// them; departed rows stay as tombstones).
 	run *aaRun
 
-	// log is the staged-event history (batchOp per event) and logBase the
-	// absolute index of log[0]. Routed maintenance (routed=true, the
-	// default) appends each batch, lets deferred subtrees lag behind it
-	// (celltree.Cell.MaintSeq records how far each node has caught up), and
-	// compacts once the backlog reaches routeLogCap; the full-sweep path
-	// truncates the log every batch, since every leaf is staged to the end
-	// before the batch returns. See route.go.
+	// log is the staged-op history (one batchOp per event) and logBase the
+	// absolute index of log[0]. Subtrees whose bounds prove an op harmless
+	// lag behind the log (celltree.Cell.MaintSeq records how far each node
+	// has caught up); the log is compacted once the backlog reaches
+	// routeLogCap. See route.go.
 	log     []batchOp
 	logBase int
-	routed  bool
 
-	// leavesBuf and subBuf are scratch for leaf enumerations (full-tree
-	// sweeps and fired-subtree re-staging), reused across events and drains
-	// so steady-state maintenance does not allocate a leaf slice per sweep.
+	// fired collects the leaves the newest op's descent hands to
+	// re-verification, in tree-leaf order; leavesBuf is scratch for
+	// compaction's leaf enumeration. Both are reused across events.
+	fired     []*celltree.Cell
 	leavesBuf []*celltree.Cell
-	subBuf    []*celltree.Cell
 }
 
 // NewMaintainer computes the initial region and retains the arrangement.
@@ -72,25 +69,19 @@ func NewMaintainer(inst *Instance, m int, opts Options) (*Maintainer, error) {
 		return nil, err
 	}
 	mt := &Maintainer{
-		products: inst.Products,
-		dim:      inst.Dim,
-		m:        m,
-		opts:     opts,
-		users:    inst.Users,
-		alive:    make([]bool, len(inst.Users)),
-		nAlive:   len(inst.Users),
-		search:   topk.NewSearcher(inst.TopKIndex),
-		run:      run,
+		m:      m,
+		opts:   opts,
+		alive:  make([]bool, len(inst.Users)),
+		nAlive: len(inst.Users),
+		search: topk.NewSearcher(inst.TopKIndex),
+		run:    run,
 	}
 	for i := range mt.alive {
 		mt.alive[i] = true
 	}
-	mt.routed = !opts.DisableRouting
-	if mt.routed {
-		// Settle the routing bounds of the freshly built arrangement so the
-		// first batch's descent starts from exact per-subtree values.
-		mt.refreshSubtree(mt.run.tr.Root)
-	}
+	// Settle the routing bounds of the freshly built arrangement so the
+	// first event's descent starts from exact per-subtree values.
+	mt.refreshSubtree(mt.run.tr.Root)
 	return mt, nil
 }
 
@@ -143,10 +134,9 @@ func (mt *Maintainer) MinBoundaryGap(p geom.Vector) float64 {
 // not, so that the accounting invariant (counts + pending = alive users)
 // survives future reactivations. Reported cells stay reported (their
 // coverage only grows); eliminated cells whose bound now allows reaching m
-// are revived and resume processing. AddUser is a single-event ApplyBatch —
-// the batch path is byte-identical to the historical per-event sweep (see
-// ApplyBatch), and funneling both through one staging pass is what lets
-// routed maintenance serve singles and bursts with the same descent.
+// are revived and resume processing. AddUser is a one-event ApplyBatch, and
+// a batch applies its events one at a time, so singles and bursts take the
+// same routed descent.
 func (mt *Maintainer) AddUser(u topk.UserPref) (int, error) {
 	handles, err := mt.ApplyBatch([]Event{{Kind: EventArrive, User: u}})
 	if err != nil {
@@ -169,7 +159,7 @@ func (mt *Maintainer) RemoveUser(idx int) error {
 // An ingest layer queueing arrivals can therefore predict handles at
 // enqueue time: with every event funneled through one FIFO queue, the
 // i-th queued arrival gets NextHandle()+i.
-func (mt *Maintainer) NextHandle() int { return len(mt.users) }
+func (mt *Maintainer) NextHandle() int { return len(mt.run.inst.Users) }
 
 // EventKind discriminates the population events of a maintenance batch.
 type EventKind uint8
@@ -199,56 +189,39 @@ type batchOp struct {
 	nAlive int
 }
 
-// ApplyBatch applies a sequence of arrivals and departures in one
-// maintenance pass and returns one handle per event (the arrival's new
-// handle, -1 for departures). The batch is atomic on error: every event
-// is validated up front against the population as it evolves through the
-// sequence (a departure may target an arrival earlier in the same batch),
-// and an invalid event rejects the whole batch with the Maintainer
-// untouched.
+// ApplyBatch applies a sequence of arrivals and departures and returns one
+// handle per event (the arrival's new handle, -1 for departures). The batch
+// is atomic on error: every event is validated up front against the
+// population as it evolves through the sequence (a departure may target an
+// arrival earlier in the same batch), and an invalid event rejects the
+// whole batch with the Maintainer untouched.
 //
-// The batch is coalesced, never reordered: the resulting arrangement —
-// cells, counts, and the exported region — is byte-identical to applying
-// the same events one at a time through AddUser/RemoveUser, for every
-// worker count and group-choice strategy. The construction guarantees
-// this rather than approximating it:
-//
-//   - Staging is fused. One sweep over the current leaves replays the
-//     whole event sequence against each leaf (one payload clone per leaf
-//     instead of one per leaf per event). This is sound because a decided
-//     leaf's pending list is unobservable until the leaf is re-verified,
-//     and per-leaf staging is a pure fold over the event sequence.
-//   - Re-verification is bucketed by event. A leaf whose decision event e
-//     breaks (a report demoted by a departure, an elimination revived by
-//     an arrival) stops staging at e. Buckets then drain in event order:
-//     each drain re-enumerates the tree in leaf order — reproducing the
-//     push order of the sequential per-event sweep, which the round-robin
-//     ablation strategy is sensitive to — and runs with the event-e
-//     population and exactly the events 0..e applied to every cell it
-//     touches: precisely the state the sequential drain for event e ran
-//     under. Leaves produced or re-decided by a drain resume staging at
-//     e+1, so every leaf sees every event exactly once.
-//
-// Cell processing commutes across independent cells (see processCell), so
-// the only counter that may differ from the one-at-a-time path is the
-// scheduling-sensitive Stats.MaxFrontier.
+// A valid batch is registered (arrivals' thresholds and halfspaces
+// appended to the instance, departures tombstoned) and then applied one
+// event at a time, each through the same routed descent, re-verification
+// drain and bounds refresh as a one-event batch. The arrangement, the
+// region and every Stats counter therefore end exactly as if the events
+// had gone through AddUser/RemoveUser one by one. Batching a burst saves
+// callers one call per event (the daemon publishes one snapshot per
+// burst), not maintenance work: a burst costs the sum of its events.
 func (mt *Maintainer) ApplyBatch(events []Event) ([]int, error) {
 	if len(events) == 0 {
 		return nil, nil
 	}
 	// Validate the whole batch before mutating anything, simulating the
 	// population overlay (arrivals and departures earlier in the batch).
+	inst := mt.run.inst
 	handles := make([]int, len(events))
 	nAfter := make([]int, len(events))
 	var born, dead map[int]bool
-	next := len(mt.users)
+	next := len(inst.Users)
 	n := mt.nAlive
 	for i, ev := range events {
 		switch ev.Kind {
 		case EventArrive:
-			if len(ev.User.W) != mt.dim {
+			if len(ev.User.W) != inst.Dim {
 				return nil, fmt.Errorf("%w: event %d: new user has %d weights, want %d",
-					ErrDimMismatch, i, len(ev.User.W), mt.dim)
+					ErrDimMismatch, i, len(ev.User.W), inst.Dim)
 			}
 			if j := firstNonFinite(ev.User.W); j >= 0 {
 				return nil, fmt.Errorf("%w: event %d: new user weight %d is %v",
@@ -258,9 +231,9 @@ func (mt *Maintainer) ApplyBatch(events []Event) ([]int, error) {
 				return nil, fmt.Errorf("%w: event %d: new user weight %d is %v",
 					ErrNegativeWeight, i, j, ev.User.W[j])
 			}
-			if ev.User.K < 1 || ev.User.K > len(mt.products) {
+			if ev.User.K < 1 || ev.User.K > len(inst.Products) {
 				return nil, fmt.Errorf("%w: event %d: new user has k=%d (|P|=%d)",
-					ErrBadK, i, ev.User.K, len(mt.products))
+					ErrBadK, i, ev.User.K, len(inst.Products))
 			}
 			if born == nil {
 				born = make(map[int]bool)
@@ -271,7 +244,7 @@ func (mt *Maintainer) ApplyBatch(events []Event) ([]int, error) {
 			n++
 		case EventDepart:
 			hd := ev.Handle
-			present := hd >= 0 && ((hd < len(mt.users) && mt.alive[hd]) || born[hd]) && !dead[hd]
+			present := hd >= 0 && ((hd < len(inst.Users) && mt.alive[hd]) || born[hd]) && !dead[hd]
 			if !present {
 				return nil, fmt.Errorf("core: event %d: user %d not present", i, hd)
 			}
@@ -287,15 +260,16 @@ func (mt *Maintainer) ApplyBatch(events []Event) ([]int, error) {
 		nAfter[i] = n
 	}
 
-	// Register arrivals (thresholds answered in event order, so the search
-	// counters accumulate exactly as per-event AddUser calls would) and
-	// capture departures' halfspaces. The instance arrays are append-only
-	// and nothing reads a user's row before its arrival event is staged,
-	// so appending all arrivals up front is equivalent to interleaving.
-	inst := mt.run.inst
+	// Register the events in order: arrivals get their thresholds (so the
+	// search counters accumulate exactly as per-event AddUser calls would)
+	// and their instance rows, departures their tombstones. Nothing reads
+	// a user's row or liveness before its own op is applied, so
+	// registering the whole batch first is equivalent to interleaving.
 	ops := make([]batchOp, len(events))
 	for i, ev := range events {
-		if ev.Kind != EventArrive {
+		if ev.Kind == EventDepart {
+			mt.alive[ev.Handle] = false
+			ops[i] = batchOp{idx: ev.Handle, h: inst.HS[ev.Handle], nAlive: nAfter[i]}
 			continue
 		}
 		u := ev.User
@@ -303,31 +277,23 @@ func (mt *Maintainer) ApplyBatch(events []Event) ([]int, error) {
 		kth := mt.search.Kth(u.W, u.K)
 		mt.run.st.ScannedProducts += mt.search.Stats.ScannedProducts
 		mt.run.st.LayerPrunes += mt.search.Stats.LayerPrunes
-		mt.users = append(mt.users, u)
 		mt.alive = append(mt.alive, true)
 		inst.Users = append(inst.Users, u)
 		inst.Kth = append(inst.Kth, kth)
 		inst.HS = append(inst.HS, geom.Halfspace{W: u.W, T: kth.Score})
-		if mt.dim > 1 {
-			inst.WProj = append(inst.WProj, u.W[:mt.dim-1])
+		if inst.Dim > 1 {
+			inst.WProj = append(inst.WProj, u.W[:inst.Dim-1])
 		} else {
 			inst.WProj = append(inst.WProj, u.W)
 		}
 		ops[i] = batchOp{arrive: true, idx: handles[i],
-			g:      &Group{Pivot: kth.Index, R: mt.products[kth.Index], Members: []int{handles[i]}},
+			g:      &Group{Pivot: kth.Index, R: inst.Products[kth.Index], Members: []int{handles[i]}},
 			h:      geom.Halfspace{W: u.W, T: kth.Score},
 			nAlive: nAfter[i]}
 	}
-	for i, ev := range events {
-		if ev.Kind != EventDepart {
-			continue
-		}
-		mt.alive[ev.Handle] = false
-		ops[i] = batchOp{idx: ev.Handle, h: inst.HS[ev.Handle], nAlive: nAfter[i]}
+	for _, op := range ops {
+		mt.applyOp(op)
 	}
-	mt.nAlive = nAfter[len(events)-1]
-
-	mt.applyLog(ops)
 	return handles, nil
 }
 
@@ -403,14 +369,15 @@ func (mt *Maintainer) minePending(leaf *celltree.Cell, own func() *cellGroups, m
 }
 
 // stageLeaf replays mt.log[from:] against one leaf, cloning its payload on
-// first mutation and stopping — the event index and leaf handed to fire for
-// re-verification bucketing — at the first event that breaks the leaf's
+// first mutation and stopping at the first op that breaks the leaf's
 // decision. from indexes mt.log (subtract logBase from an absolute
-// MaintSeq). The leaf is marked current through the end of the log up
-// front: a fired remainder is completed by the caller's drain/re-stage loop
-// before the pass returns, so the mark is true by the time anything reads
-// it. Reports whether the leaf fired.
-func (mt *Maintainer) stageLeaf(leaf *celltree.Cell, from int, fire func(e int, leaf *celltree.Cell)) bool {
+// StageSeq). The leaf is marked current through the end of the log up
+// front: a fired leaf is re-verified by the caller's drain before the op
+// returns, so the mark is true by the time anything reads it. Reports
+// whether the leaf fired, which only the newest op may make it do: the
+// older ops in its backlog were deferred under a no-fire proof (route.go),
+// and a fire there means that proof was unsound.
+func (mt *Maintainer) stageLeaf(leaf *celltree.Cell, from int) bool {
 	leaf.MaintSeq = mt.logBase + len(mt.log)
 	leaf.StageSeq = leaf.MaintSeq
 	if leaf.Empty {
@@ -506,126 +473,63 @@ func (mt *Maintainer) stageLeaf(leaf *celltree.Cell, from int, fire func(e int, 
 				mt.minePending(leaf, own, true, want)
 			}
 			if op.arrive && op.nAlive-leaf.OutCount >= mt.m {
-				mt.run.tr.Stats.TouchedFrontier++
-				fire(e, leaf)
-				return true
+				return mt.fire(e)
 			}
 		case celltree.Reported:
 			if want := mt.m + mineHeadroom; leaf.InCount < want {
 				mt.minePending(leaf, own, false, want)
 			}
 			if !op.arrive && leaf.InCount < mt.m {
-				mt.run.tr.Stats.TouchedFrontier++
-				fire(e, leaf)
-				return true
+				return mt.fire(e)
 			}
 		}
 	}
 	return false
 }
 
-// applyLog stages a validated, registered batch of ops against the
-// arrangement and drains the re-verification buckets in event order. With
-// routing enabled the staging phase is routeNode's pruned descent (leaves
-// under deferred subtrees are not visited at all); otherwise it is the
-// historical full sweep. Everything downstream of staging — bucket drains
-// with the event-time population, fired-subtree re-staging at e+1 — is
-// shared, which is the heart of the routing-on/off byte-identity argument:
-// the two modes bucket the same leaves at the same events and push them in
-// the same leaf order, so every drain runs under identical state.
-func (mt *Maintainer) applyLog(ops []batchOp) {
-	if mt.routed {
-		mt.log = append(mt.log, ops...)
-	} else {
-		// The full sweep stages every leaf through the end of each batch, so
-		// the processed prefix is dead: advance the base over it and let the
-		// new batch reuse the backing array.
-		mt.logBase += len(mt.log)
-		mt.log = append(mt.log[:0], ops...)
+// fire counts a leaf whose decision log op e broke, and panics unless e is
+// the newest op.
+func (mt *Maintainer) fire(e int) bool {
+	if e != len(mt.log)-1 {
+		panic(unsoundDeferral)
 	}
-	// Buckets span the whole log, not just this batch: a routed leaf
-	// settles its backlog right before the new ops. Deferral proofs
-	// guarantee backlog events never fire (see route.go), so only the tail
-	// batch's buckets can fill — but indexing the full range keeps that a
-	// provable property rather than a structural assumption.
-	buckets := make([][]*celltree.Cell, len(mt.log))
-	fire := func(e int, leaf *celltree.Cell) {
-		buckets[e] = append(buckets[e], leaf)
-	}
+	mt.run.tr.Stats.TouchedFrontier++
+	return true
+}
+
+// applyOp applies one registered op: it joins the log, the routed descent
+// stages it (settling any deferred backlog on the leaves it reaches) and
+// collects the leaves it fires in tree-leaf order, those leaves are
+// reactivated and drained with the op's population, and the fired
+// subtrees' bounds are refreshed. Pushing in tree-leaf order matters to
+// the round-robin strategy, whose cursor follows the processing order.
+func (mt *Maintainer) applyOp(op batchOp) {
+	mt.nAlive = op.nAlive
+	mt.run.nU = op.nAlive
+	mt.log = append(mt.log, op)
+	mt.fired = mt.fired[:0]
 	pprof.Do(context.Background(), pprof.Labels("mir_phase", "verify"), func(context.Context) {
-		if mt.routed {
-			mt.routeNode(mt.run.tr.Root, fire)
-		} else {
-			mt.leavesBuf = mt.run.tr.Leaves(nil, mt.leavesBuf[:0])
-			for _, leaf := range mt.leavesBuf {
-				mt.stageLeaf(leaf, 0, fire)
-			}
-		}
+		mt.routeNode(mt.run.tr.Root)
 	})
-	// refresh collects every fired cell once, in firing order: their
-	// subtrees (splits included) need exact routing bounds again after the
-	// drains. A slice, not a map, so the post-drain walk is deterministic.
-	var refresh []*celltree.Cell
-	var seen map[*celltree.Cell]bool
-	for e := 0; e < len(mt.log); e++ {
-		cells := buckets[e]
-		if len(cells) == 0 {
-			continue
-		}
-		mt.run.nU = mt.log[e].nAlive
-		// Stage the fired leaves onto the frontier queue.
+	if len(mt.fired) > 0 {
 		pprof.Do(context.Background(), pprof.Labels("mir_phase", "seed"), func(context.Context) {
-			if mt.routed {
-				mt.pushFired(cells)
-				if seen == nil {
-					seen = make(map[*celltree.Cell]bool, len(cells))
-				}
-				for _, c := range cells {
-					if !seen[c] {
-						seen[c] = true
-						refresh = append(refresh, c)
-					}
-				}
-			} else {
-				fired := make(map[*celltree.Cell]bool, len(cells))
-				for _, c := range cells {
-					fired[c] = true
-				}
-				// Push in current leaf order — the order the per-event sweep
-				// would have used — not bucket-append order.
-				mt.leavesBuf = mt.run.tr.Leaves(nil, mt.leavesBuf[:0])
-				for _, leaf := range mt.leavesBuf {
-					if !fired[leaf] {
-						continue
-					}
-					mt.run.tr.Reactivate(leaf)
-					if !mt.run.seq.verify(leaf) {
-						mt.run.queue.Push(leaf, mt.run.priority(leaf))
-					}
+			for _, leaf := range mt.fired {
+				mt.run.tr.Reactivate(leaf)
+				if !mt.run.seq.verify(leaf) {
+					mt.run.queue.Push(leaf, mt.run.priority(leaf))
 				}
 			}
 		})
 		mt.run.drain()
-		if e+1 < len(mt.log) {
-			pprof.Do(context.Background(), pprof.Labels("mir_phase", "verify"), func(context.Context) {
-				for _, c := range cells {
-					mt.subBuf = mt.run.tr.Leaves(c, mt.subBuf[:0])
-					for _, leaf := range mt.subBuf {
-						mt.stageLeaf(leaf, e+1, fire)
-					}
-				}
-			})
-		}
-	}
-	mt.run.nU = mt.nAlive
-	if mt.routed {
-		for _, c := range refresh {
+		// The drains may have split fired leaves: their subtrees need exact
+		// routing bounds again, and so do their ancestor chains.
+		for _, c := range mt.fired {
 			mt.refreshSubtree(c)
 			mt.pullUpChain(c.Parent())
 		}
-		if len(mt.log) >= routeLogCap {
-			mt.settleAll()
-		}
+	}
+	if len(mt.log) >= routeLogCap {
+		mt.settleAll()
 	}
 }
 

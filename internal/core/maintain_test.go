@@ -16,7 +16,7 @@ func checkMaintainerOracle(t *testing.T, mt *Maintainer, m int, rng *rand.Rand, 
 	t.Helper()
 	reg := mt.Region()
 	for i := 0; i < probes; i++ {
-		p := make(geom.Vector, mt.dim)
+		p := make(geom.Vector, mt.run.inst.Dim)
 		for j := range p {
 			p[j] = rng.Float64()
 		}
@@ -116,7 +116,7 @@ func TestMaintainerChurn(t *testing.T) {
 		}
 		// Final cross-check against a fresh AA run over the alive users.
 		var aliveUsers []topk.UserPref
-		for i, u := range mt.users {
+		for i, u := range mt.run.inst.Users {
 			if mt.alive[i] {
 				aliveUsers = append(aliveUsers, u)
 			}
@@ -192,5 +192,59 @@ func TestMaintainerIncrementalWork(t *testing.T) {
 	if added > cellsBefore/2 {
 		t.Errorf("incremental add created %d cells on top of %d — not incremental",
 			added, cellsBefore)
+	}
+}
+
+// BenchmarkStandingApply times maintenance on the standing shape: IND
+// |P|=2000, d=3, k=10, 40 residents of a 50-user clustered session pool,
+// m=20, Workers 1, after 120 warm-up events applied 12 per ApplyBatch.
+// "single" then applies one event per call, "burst48" 48; an op is one
+// call, and the per-event time, containment tests, pivots and staged
+// leaves are reported alongside. Each run rebuilds and re-warms the
+// arrangement outside the timer.
+func BenchmarkStandingApply(b *testing.B) {
+	const nP, nPool, nU, d, k, m = 2000, 50, 40, 3, 10, 20
+	const warmup, warmBatch = 120, 12
+	for _, bc := range []struct {
+		name  string
+		batch int
+	}{{"single", 1}, {"burst48", 48}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			ps := data.Independent(rng, nP, d)
+			pool := data.WithK(data.ClusteredUsers(rng, nPool, d, 5, 0.05), k)
+			// The script's prefix does not depend on its length, so every
+			// b.N warms up on the same events.
+			events := sessionScript(rng, pool, nU, warmup+b.N*bc.batch)
+			opts := Options{Workers: 1}
+			inst, err := NewInstanceOpts(ps, deepCopyUsers(pool[:nU]), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mt, err := NewMaintainer(inst, m, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for lo := 0; lo < warmup; lo += warmBatch {
+				if _, err := mt.ApplyBatch(events[lo : lo+warmBatch]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			st0 := mt.Region().Stats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := warmup + i*bc.batch
+				if _, err := mt.ApplyBatch(events[lo : lo+bc.batch]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			st1 := mt.Region().Stats
+			n := float64(b.N * bc.batch)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+			b.ReportMetric(float64(st1.ContainmentTests-st0.ContainmentTests)/n, "tests/event")
+			b.ReportMetric(float64(st1.Pivots-st0.Pivots)/n, "pivots/event")
+			b.ReportMetric(float64(st1.RoutedLeaves-st0.RoutedLeaves)/n, "leaves/event")
+		})
 	}
 }

@@ -66,16 +66,16 @@ type Options struct {
 	// are byte-identical either way; the switch keeps the cold path
 	// selectable for benchmarking and the differential property tests.
 	DisableWarmStart bool
-	// DisableRouting turns off MBB-routed incremental maintenance: every
-	// arrival/departure event falls back to the historical full sweep that
-	// stages the event onto every leaf of the arrangement. Routing defers
-	// events on subtrees where conservative revival/demotion bounds prove
-	// no decision can flip, settling them lazily, so per-event cost tracks
-	// the event's geometric footprint instead of |tree|. Deferral changes
-	// only when per-leaf bookkeeping is brought current, never what any
-	// re-verification computes — maintained regions are byte-identical
-	// routing on or off for every worker count (the property tests pin
-	// this); the switch exists for benchmarking and those tests.
+	// DisableRouting makes routed incremental maintenance defer nothing:
+	// every event's descent reaches every leaf of the arrangement, the
+	// full sweep. Routing defers events on subtrees where conservative
+	// revival/demotion bounds prove no decision can flip, settling them
+	// lazily, so per-event leaf visits track the event's geometric
+	// footprint instead of |tree|. Both settings run the same descent,
+	// leaf replay and re-verification drain, so maintained regions are
+	// byte-identical routing on or off for every worker count (the
+	// property tests pin this); the switch is their reference and the
+	// standing work gate's swept row.
 	DisableRouting bool
 }
 
@@ -131,7 +131,7 @@ type Stats struct {
 	// celltree.Stats for the exact semantics). RoutedLeaves counts leaf
 	// visits by event application, SkippedSubtrees counts subtree/leaf
 	// deferrals proven safe by the routing bounds, and TouchedFrontier
-	// counts leaves bucketed for re-verification. RoutedLeaves and
+	// counts leaves handed to re-verification. RoutedLeaves and
 	// TouchedFrontier are deterministic across worker counts and routing
 	// settings' respective modes (the full sweep stages every leaf;
 	// routing's deferrals depend only on event geometry); all three merge

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"sort"
-
 	"mir/internal/celltree"
 	"mir/internal/geom"
 )
@@ -19,10 +16,11 @@ import (
 // leaves below — on the coverage count InCount. Leaves settle to exact values;
 // internal nodes take the max/min of their children.
 //
-// When a batch arrives, routeNode descends from the root. At each node it
-// replays the node's pending log window against the bounds, classifying each
-// event's halfspace against the node MBB (the Section 5.3 filter test lifted
-// from leaves to subtree roots):
+// Each op (one event; a batch applies its ops one at a time) joins the
+// log, and routeNode descends from the root. At each node it replays the
+// node's pending log window against the bounds, classifying each op's
+// halfspace against the node MBB (the Section 5.3 filter test lifted from
+// leaves to subtree roots):
 //
 //   - an arrival whose halfspace strictly excludes the node MBB moves
 //     neither bound: every leaf below absorbs it as OutCount++ (see
@@ -40,14 +38,16 @@ import (
 // If no prefix of the window pushes the slack bound to m or the coverage
 // bound below m, no decision below the node can flip: the whole subtree is
 // skipped — the folded bounds and the advanced MaintSeq are the only writes.
-// Otherwise the descent recurses, and leaves it reaches settle their backlog
-// through Maintainer.stageLeaf, the exact same per-leaf replay the full sweep
-// runs — which is why regions are byte-identical routing on or off: routing
-// changes when a leaf's bookkeeping is brought current, never what any leaf
-// or drain computes. A deferral proof covers every event in its window, so a
-// later settle of that backlog can never fire a re-verification; fired
-// buckets only ever hold indices from the newest batch (settleAll panics if
-// the guarantee is violated rather than risking a silently reordered drain).
+// Otherwise the descent recurses, left child first, and leaves it reaches
+// settle their backlog through Maintainer.stageLeaf. Options.DisableRouting
+// makes canDefer refuse every window, so the descent reaches every leaf:
+// the full sweep is this same path with nothing deferred, which is why
+// regions are byte-identical routing on or off. Routing changes when a
+// leaf's bookkeeping is brought current, never what any leaf or drain
+// computes. A deferral proof covers every op in its window, so only the
+// newest op can fire a leaf, and only during its own descent: stageLeaf
+// panics on a fire by an older op, and settleAll on any fire, rather than
+// re-verify out of order.
 //
 // The log is compacted (settleAll: settle every leaf, refresh every bound,
 // truncate) once it reaches routeLogCap, keeping replay windows and the
@@ -73,7 +73,11 @@ const (
 // and reports whether the whole subtree can skip the window. On success the
 // folded bounds are stored, the node is marked current, and the deferral is
 // counted; on failure the node is left untouched for the caller to descend.
+// With Options.DisableRouting it always fails.
 func (mt *Maintainer) canDefer(c *celltree.Cell) bool {
+	if mt.opts.DisableRouting {
+		return false
+	}
 	st := &mt.run.tr.Stats
 	slack, in := c.ElimSlack, c.RepIn
 	for e := c.MaintSeq - mt.logBase; e < len(mt.log); e++ {
@@ -110,9 +114,9 @@ func (mt *Maintainer) canDefer(c *celltree.Cell) bool {
 }
 
 // routeNode brings the subtree under c current through the end of the log,
-// deferring wherever canDefer proves it safe and settling (or bucketing,
-// via fire) the leaves it cannot avoid.
-func (mt *Maintainer) routeNode(c *celltree.Cell, fire func(e int, leaf *celltree.Cell)) {
+// deferring wherever canDefer proves it safe, settling the leaves it cannot
+// avoid and appending those the newest op fires to mt.fired.
+func (mt *Maintainer) routeNode(c *celltree.Cell) {
 	end := mt.logBase + len(mt.log)
 	if c.MaintSeq >= end {
 		return
@@ -134,17 +138,18 @@ func (mt *Maintainer) routeNode(c *celltree.Cell, fire func(e int, leaf *celltre
 		// every one of those skipped events still has to reach the pending
 		// views and counts. Fires inside that [StageSeq, MaintSeq) backlog
 		// are impossible — each deferred window carries a no-fire proof.
-		from := c.StageSeq - mt.logBase
-		if !mt.stageLeaf(c, from, fire) {
-			mt.refreshLeafBounds(c)
-		}
 		// Fired leaves keep stale bounds for now; the post-drain refresh of
 		// every fired subtree (and its ancestor chain) restores exactness.
+		if mt.stageLeaf(c, c.StageSeq-mt.logBase) {
+			mt.fired = append(mt.fired, c)
+		} else {
+			mt.refreshLeafBounds(c)
+		}
 		return
 	}
 	left, right := c.Children()
-	mt.routeNode(left, fire)
-	mt.routeNode(right, fire)
+	mt.routeNode(left)
+	mt.routeNode(right)
 	mt.pullUp(c)
 	c.MaintSeq = end
 }
@@ -202,79 +207,27 @@ func (mt *Maintainer) refreshSubtree(c *celltree.Cell) {
 	c.MaintSeq = mt.logBase + len(mt.log)
 }
 
-// pushFired reactivates and pushes a drain's fired leaves in tree-leaf
-// order — the order the historical full-sweep push used, which the
-// round-robin strategy's cursor evolution is sensitive to — without
-// enumerating the whole tree: the bucket's cells are sorted by their
-// root-to-leaf path (left before right, lexicographic). Paths are built by
-// parent-pointer walks, not ID arithmetic, which wraps past depth 62.
-func (mt *Maintainer) pushFired(cells []*celltree.Cell) {
-	if len(cells) > 1 {
-		type keyed struct {
-			leaf *celltree.Cell
-			path []byte
-		}
-		ks := make([]keyed, len(cells))
-		for i, c := range cells {
-			ks[i] = keyed{leaf: c, path: leafPath(c, nil)}
-		}
-		sort.Slice(ks, func(a, b int) bool {
-			return bytes.Compare(ks[a].path, ks[b].path) < 0
-		})
-		for i := range ks {
-			cells[i] = ks[i].leaf
-		}
-	}
-	for _, leaf := range cells {
-		mt.run.tr.Reactivate(leaf)
-		if !mt.run.seq.verify(leaf) {
-			mt.run.queue.Push(leaf, mt.run.priority(leaf))
-		}
-	}
-}
-
-// leafPath appends c's root-to-leaf turn sequence (0 = left/outside child,
-// 1 = right/inside child) to dst and returns it.
-func leafPath(c *celltree.Cell, dst []byte) []byte {
-	start := len(dst)
-	for p := c.Parent(); p != nil; c, p = p, p.Parent() {
-		left, _ := p.Children()
-		if c == left {
-			dst = append(dst, 0)
-		} else {
-			dst = append(dst, 1)
-		}
-	}
-	for i, j := start, len(dst)-1; i < j; i, j = i+1, j-1 {
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-	return dst
-}
-
 // settleAll brings every leaf current through the end of the log, refreshes
-// every bound, and truncates the log (compaction). Deferral proofs cover
-// every event they skip, so settling can never fire a re-verification; the
-// fire callback panics to make that invariant an assertion instead of an
-// assumption. The invariant tests also call this to materialize deferred
-// per-leaf state before auditing payloads. Safe (a bounds refresh and
-// log reset only) when routing is disabled, where every leaf is already
-// current after each batch.
+// every bound, and truncates the log (compaction). It runs after an op has
+// been applied, so every backlog it replays was deferred under a no-fire
+// proof, the newest op included: a fire here panics, making that invariant
+// an assertion instead of an assumption. The invariant tests also call this
+// to materialize deferred per-leaf state before auditing payloads. With
+// routing disabled every leaf is already current, so it only refreshes the
+// bounds and resets the log.
 func (mt *Maintainer) settleAll() {
 	end := mt.logBase + len(mt.log)
 	mt.leavesBuf = mt.run.tr.Leaves(nil, mt.leavesBuf[:0])
 	for _, leaf := range mt.leavesBuf {
-		if leaf.StageSeq >= end {
-			continue
+		if leaf.StageSeq < end && mt.stageLeaf(leaf, leaf.StageSeq-mt.logBase) {
+			panic(unsoundDeferral)
 		}
-		mt.stageLeaf(leaf, leaf.StageSeq-mt.logBase, settleFired)
 	}
 	mt.refreshSubtree(mt.run.tr.Root)
 	mt.logBase = end
 	mt.log = mt.log[:0]
 }
 
-// settleFired is settleAll's fire callback: unreachable when the routing
-// bounds are sound.
-func settleFired(int, *celltree.Cell) {
-	panic("core: deferred maintenance event fired at settle; routing bounds are unsound")
-}
+// unsoundDeferral is the panic of a deferred op firing a leaf:
+// unreachable when the routing bounds are sound.
+const unsoundDeferral = "core: deferred maintenance event fired a leaf; routing bounds are unsound"

@@ -40,14 +40,14 @@ func auditAliveAccounting(t *testing.T, mt *Maintainer) {
 
 // TestRoutingByteIdentical is the localized-maintenance determinism
 // contract: with routing enabled (the default) the maintained arrangement
-// is byte-identical to the historical every-leaf sweep selected by
-// Options.DisableRouting — same cells in the same order, same halfspaces,
-// same bounding boxes — across worker counts, for single-event
-// application and coalesced batches alike. Only the locality profile may
-// differ: the routed runs must skip subtrees and visit strictly fewer
-// leaves, and both modes' routing counters must be identical for every
-// worker count (they are charged between drains, outside the parallel
-// sections).
+// is byte-identical to the every-leaf sweep that Options.DisableRouting
+// selects (the same descent with nothing deferred) — same cells in the
+// same order, same halfspaces, same bounding boxes — across worker
+// counts, for single-event application and coalesced batches alike. Only
+// the locality profile may differ: the routed runs must skip subtrees and
+// visit strictly fewer leaves, and both modes' routing counters must be
+// identical for every worker count (they are charged between drains,
+// outside the parallel sections).
 func TestRoutingByteIdentical(t *testing.T) {
 	baseRng := rand.New(rand.NewSource(61))
 	ps := data.Independent(baseRng, 180, 3)

@@ -29,7 +29,7 @@ func (mt *Maintainer) Snapshot() *MaintSnapshot {
 	return &MaintSnapshot{
 		region:   mt.run.region(),
 		numUsers: mt.nAlive,
-		products: mt.products,
+		products: mt.run.inst.Products,
 		hs:       append([]geom.Halfspace(nil), mt.run.inst.HS...),
 		alive:    append([]bool(nil), mt.alive...),
 	}

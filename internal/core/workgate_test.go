@@ -33,7 +33,7 @@ func checkCeiling(t *testing.T, row, counter string, got, want float64) {
 	limit := want * workCeiling
 	t.Logf("%s: %.1f %s (constant %.1f)", row, got, counter, want)
 	if got > limit {
-		t.Errorf("%s: %.1f %s, limit %.1f (%.2fx of %.1f measured at caf8014)",
+		t.Errorf("%s: %.1f %s, limit %.1f (%.2fx of the constant %.1f)",
 			row, got, counter, limit, workCeiling, want)
 	}
 }

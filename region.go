@@ -125,10 +125,10 @@ type Stats struct {
 	// Monitor's routed incremental maintenance (zero outside maintained
 	// runs): leaves actually visited by event application, subtrees (or
 	// single leaves) skipped whole because the routing bounds proved no
-	// decision below could flip, and leaves bucketed for re-verification.
+	// decision below could flip, and leaves handed to re-verification.
 	// RoutedLeaves per event is the locality metric of the routing
-	// optimization: it collapses against the historical every-leaf sweep
-	// while the maintained region stays byte-identical. All three merge by
+	// optimization: it collapses against the every-leaf sweep while the
+	// maintained region stays byte-identical. All three merge by
 	// summation and are deterministic for every worker count.
 	RoutedLeaves    int
 	SkippedSubtrees int
