@@ -563,11 +563,16 @@ func (sh *Shard) SplitBy(c *Cell, h geom.Halfspace) (left, right *Cell) {
 	return left, right
 }
 
-// clipBoxInPlace tightens [lo, hi] against {x : W·x >= T} in place,
-// returning false when the halfspace misses the box entirely. Same
-// computation as clipBox without the allocations; used by the
-// interval-propagation passes, which run once per constraint per split.
+// clipBoxInPlace tightens [lo, hi] to the exact bounding box of
+// [lo, hi] ∩ {x : W·x >= T}, returning false when the intersection is
+// empty (the box is then partly clipped and must not be used). For each
+// coordinate, the extreme feasible value is found by setting the other
+// coordinates to their W-maximizing corner. Coordinate j reads only its
+// own bounds once sMax is computed, so clipping in place gives the same
+// bits as clipping a copy. The interval-propagation passes call it once
+// per constraint per split.
 func clipBoxInPlace(lo, hi geom.Vector, h geom.Halfspace) bool {
+	// sMax = max of W·x over the box.
 	sMax := 0.0
 	for j, w := range h.W {
 		if w >= 0 {
@@ -581,10 +586,12 @@ func clipBoxInPlace(lo, hi geom.Vector, h geom.Halfspace) bool {
 	}
 	for j, w := range h.W {
 		if w > geom.Eps {
+			// Others at their max: w_j x_j >= T - (sMax - w_j hi_j).
 			if bound := (h.T - (sMax - w*hi[j])) / w; bound > lo[j] {
 				lo[j] = bound
 			}
 		} else if w < -geom.Eps {
+			// w_j < 0: x_j <= (T - otherMax)/w_j with otherMax = sMax - w_j lo_j.
 			if bound := (h.T - (sMax - w*lo[j])) / w; bound < hi[j] {
 				hi[j] = bound
 			}
@@ -599,48 +606,16 @@ func clipBoxInPlace(lo, hi geom.Vector, h geom.Halfspace) bool {
 	return true
 }
 
-// clipBox returns the exact bounding box of [lo, hi] ∩ {x : W·x >= T},
-// or ok=false when the intersection is empty. For each coordinate, the
-// extreme feasible value is found by setting the other coordinates to
-// their W-maximizing corner.
+// clipBox is clipBoxInPlace on a fresh copy of the box (one backing
+// array for both corners), or ok=false when the intersection is empty.
 func clipBox(lo, hi geom.Vector, h geom.Halfspace) (nlo, nhi geom.Vector, ok bool) {
-	// sMax = max of W·x over the box.
-	sMax := 0.0
-	for j, w := range h.W {
-		if w >= 0 {
-			sMax += w * hi[j]
-		} else {
-			sMax += w * lo[j]
-		}
-	}
-	if sMax < h.T-geom.Eps {
-		return nil, nil, false
-	}
 	backing := make([]float64, 2*len(lo))
 	nlo = geom.Vector(backing[:len(lo):len(lo)])
 	nhi = geom.Vector(backing[len(lo):])
 	copy(nlo, lo)
 	copy(nhi, hi)
-	for j, w := range h.W {
-		if w > geom.Eps {
-			// Others at their max: w_j x_j >= T - (sMax - w_j hi_j).
-			bound := (h.T - (sMax - w*hi[j])) / w
-			if bound > nlo[j] {
-				nlo[j] = bound
-			}
-		} else if w < -geom.Eps {
-			// w_j < 0: x_j <= (T - otherMax)/w_j with otherMax = sMax - w_j lo_j.
-			bound := (h.T - (sMax - w*lo[j])) / w
-			if bound < nhi[j] {
-				nhi[j] = bound
-			}
-		}
-		if nlo[j] > nhi[j]+geom.Eps {
-			return nil, nil, false
-		}
-		if nlo[j] > nhi[j] {
-			nlo[j] = nhi[j]
-		}
+	if !clipBoxInPlace(nlo, nhi, h) {
+		return nil, nil, false
 	}
 	return nlo, nhi, true
 }

@@ -259,7 +259,7 @@ func TestMaintainerBatchAtomicity(t *testing.T) {
 		if got := mt.NumUsers(); got != 10 {
 			t.Fatalf("bad batch %d changed NumUsers to %d", i, got)
 		}
-		if n := len(mt.run.inst.Users); n != 10 || len(mt.alive) != 10 ||
+		if n := len(mt.run.inst.Users); n != 10 || len(mt.rows) != 10 ||
 			len(mt.run.inst.HS) != 10 || len(mt.run.inst.Kth) != 10 || len(mt.run.inst.WProj) != 10 {
 			t.Fatalf("bad batch %d left partial appends (users=%d)", i, n)
 		}

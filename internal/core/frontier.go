@@ -89,12 +89,10 @@ func (r *aaRun) region() *Region {
 
 // mergeWorker folds a frontier worker's algorithm-level counters into s.
 // Only the counters processCell touches appear here; the arrangement-side
-// counters travel through the worker's celltree shard, and the remaining
-// Stats fields are filled at export time from the tree. All merges are
-// sums, hence order-independent.
+// counters (Reported and Eliminated among them) travel through the
+// worker's celltree shard, and the remaining Stats fields are filled at
+// export time from the tree. All merges are sums, hence order-independent.
 func (s *Stats) mergeWorker(o *Stats) {
-	s.Reported += o.Reported
-	s.Eliminated += o.Eliminated
 	s.EarlyReported += o.EarlyReported
 	s.EarlyEliminated += o.EarlyEliminated
 	s.HullTests += o.HullTests

@@ -204,9 +204,19 @@ func (inst *Instance) CheckM(m int) error {
 // CountCovering returns the number of users whose top-k result a
 // (hypothetical) product at point p would enter — the brute-force coverage
 // oracle used for verification and by the public API.
-func (inst *Instance) CountCovering(p geom.Vector) int {
+func (inst *Instance) CountCovering(p geom.Vector) int { return countCovering(inst.HS, p) }
+
+// MinBoundaryGap returns the smallest |w_i·p - t_i| over all users: the
+// distance (in score units) of p from the nearest top-k entry boundary.
+// Sampling-based tests use it to skip points too close to a boundary for
+// float comparisons to be meaningful. With no users there is no boundary
+// and the gap is +Inf (the identity of min).
+func (inst *Instance) MinBoundaryGap(p geom.Vector) float64 { return minBoundaryGap(inst.HS, p) }
+
+// countCovering returns how many of the halfspaces contain p.
+func countCovering(hs []geom.Halfspace, p geom.Vector) int {
 	n := 0
-	for _, h := range inst.HS {
+	for _, h := range hs {
 		if h.Contains(p) {
 			n++
 		}
@@ -214,14 +224,11 @@ func (inst *Instance) CountCovering(p geom.Vector) int {
 	return n
 }
 
-// MinBoundaryGap returns the smallest |w_i·p - t_i| over all users: the
-// distance (in score units) of p from the nearest top-k entry boundary.
-// Sampling-based tests use it to skip points too close to a boundary for
-// float comparisons to be meaningful. With no users there is no boundary
-// and the gap is +Inf (the identity of min).
-func (inst *Instance) MinBoundaryGap(p geom.Vector) float64 {
+// minBoundaryGap returns the smallest |w·p - t| over the halfspaces, +Inf
+// when there are none.
+func minBoundaryGap(hs []geom.Halfspace, p geom.Vector) float64 {
 	best := math.Inf(1)
-	for _, h := range inst.HS {
+	for _, h := range hs {
 		g := h.Eval(p)
 		if g < 0 {
 			g = -g
@@ -231,4 +238,56 @@ func (inst *Instance) MinBoundaryGap(p geom.Vector) float64 {
 		}
 	}
 	return best
+}
+
+// Influence pairs a product with its reverse top-k cardinality.
+type Influence struct {
+	Product  int
+	Coverage int
+}
+
+// MostInfluential returns the n products contained in the most of the
+// halfspaces hs — the largest reverse top-k sets over the users hs
+// belongs to — coverage descending with ties toward the smaller product
+// index. ix is the products' layered top-k index.
+//
+// Counting runs user-major through the index (Searcher.AtLeast): each
+// user's influential products are exactly {p : w·p >= t_i - Eps}, so the
+// index enumerates them with superblock/block bound pruning instead of
+// |P|·|U| dot products. The index threshold is slackened by an extra Eps
+// and every hit rechecked with the halfspace's own Contains, so the
+// counts (and therefore the returned ranking) are byte-identical to a
+// full |P|·|U| coverage scan regardless of rounding differences between
+// the two evaluation orders. Safe for concurrent use: the index is
+// immutable and each call allocates its own Searcher.
+func MostInfluential(ix *topk.Index, products []geom.Vector, hs []geom.Halfspace, n int) []Influence {
+	if n > len(products) {
+		n = len(products)
+	}
+	if n <= 0 {
+		return nil
+	}
+	counts := make([]int, len(products))
+	s := topk.NewSearcher(ix)
+	var buf []int
+	for _, h := range hs {
+		buf = s.AtLeast(h.W, h.T-2*geom.Eps, buf[:0])
+		for _, pi := range buf {
+			if h.Contains(products[pi]) {
+				counts[pi]++
+			}
+		}
+	}
+	idx := make([]int, len(counts))
+	scores := make([]float64, len(counts))
+	for i, c := range counts {
+		idx[i] = i
+		scores[i] = float64(c)
+	}
+	top := topk.SelectTop(idx, scores, n)
+	out := make([]Influence, len(top))
+	for i, pi := range top {
+		out[i] = Influence{Product: pi, Coverage: counts[pi]}
+	}
+	return out
 }

@@ -124,6 +124,7 @@ func TestCountInvariantAfterMaintenance(t *testing.T) {
 	}
 	// The audit must run over alive users only.
 	run := mt.run
+	alive := aliveRows(mt)
 	for _, leaf := range run.tr.Leaves(nil, nil) {
 		if leaf.Empty || leaf.Status == celltree.Eliminated {
 			continue
@@ -139,7 +140,7 @@ func TestCountInvariantAfterMaintenance(t *testing.T) {
 		in, out := 0, 0
 		borderline := false
 		for ui, h := range run.inst.HS {
-			if !mt.alive[ui] || pend[ui] {
+			if !alive[ui] || pend[ui] {
 				continue
 			}
 			if boundaryHugsCell(leaf.Polytope(), h) {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime/pprof"
 
 	"mir/internal/celltree"
@@ -23,23 +22,30 @@ import (
 //   - Removing a user can only demote Reported cells (eliminated cells
 //     stay eliminated: |U| and the cell's exclusion count drop together).
 //
-// User indices are stable: removed slots are tombstoned, and new users
-// take fresh indices.
+// Users are named by handles, which are sequential and never reused; each
+// alive user occupies one row of the instance's user arrays, and a
+// departed user's row is recycled.
 type Maintainer struct {
 	m    int
 	opts Options
 
-	alive  []bool
-	nAlive int
+	// rows maps each alive user's handle to its row in the instance's
+	// Users, Kth, HS and WProj arrays; next is the handle the next arrival
+	// receives. A departed user's row joins free when the log compaction
+	// that drops its op has staged the departure on every leaf (until
+	// then, a lagging leaf may still hold the row pending); an arrival
+	// takes a free row before appending a new one.
+	rows map[int]int
+	next int
+	free []int
 
 	// search answers arriving users' top-k thresholds from the instance's
 	// shared layered index. The Maintainer is single-threaded, so one
 	// searcher suffices.
 	search *topk.Searcher
 
-	// run holds the arrangement and the instance, whose user, threshold
-	// and halfspace arrays grow by one row per arrival (handles index
-	// them; departed rows stay as tombstones).
+	// run holds the arrangement and the instance (rows as above); run.nU
+	// is the alive population.
 	run *aaRun
 
 	// log is the staged-op history (one batchOp per event) and logBase the
@@ -71,13 +77,13 @@ func NewMaintainer(inst *Instance, m int, opts Options) (*Maintainer, error) {
 	mt := &Maintainer{
 		m:      m,
 		opts:   opts,
-		alive:  make([]bool, len(inst.Users)),
-		nAlive: len(inst.Users),
+		rows:   make(map[int]int, len(inst.Users)),
+		next:   len(inst.Users),
 		search: topk.NewSearcher(inst.TopKIndex),
 		run:    run,
 	}
-	for i := range mt.alive {
-		mt.alive[i] = true
+	for i := range inst.Users {
+		mt.rows[i] = i
 	}
 	// Settle the routing bounds of the freshly built arrangement so the
 	// first event's descent starts from exact per-subtree values.
@@ -86,7 +92,7 @@ func NewMaintainer(inst *Instance, m int, opts Options) (*Maintainer, error) {
 }
 
 // NumUsers returns the current (alive) user count.
-func (mt *Maintainer) NumUsers() int { return mt.nAlive }
+func (mt *Maintainer) NumUsers() int { return mt.run.nU }
 
 // Region extracts the current m-impact region from the maintained
 // arrangement.
@@ -96,39 +102,30 @@ func (mt *Maintainer) Region() *Region {
 
 // CountCovering returns the number of alive users covering point p.
 func (mt *Maintainer) CountCovering(p geom.Vector) int {
-	n := 0
-	for i, h := range mt.run.inst.HS {
-		if mt.alive[i] && h.Contains(p) {
-			n++
-		}
-	}
-	return n
+	return countCovering(mt.aliveHS(), p)
 }
 
 // MinBoundaryGap mirrors Instance.MinBoundaryGap over alive users. With
 // no users alive there is no boundary, so the gap is +Inf (the identity
 // of min), never a finite sentinel a caller could mistake for a distance.
 func (mt *Maintainer) MinBoundaryGap(p geom.Vector) float64 {
-	best := math.Inf(1)
-	for i, h := range mt.run.inst.HS {
-		if !mt.alive[i] {
-			continue
-		}
-		g := h.Eval(p)
-		if g < 0 {
-			g = -g
-		}
-		if g < best {
-			best = g
-		}
+	return minBoundaryGap(mt.aliveHS(), p)
+}
+
+// aliveHS returns a fresh slice of the alive users' halfspaces, in no
+// particular order.
+func (mt *Maintainer) aliveHS() []geom.Halfspace {
+	hs := make([]geom.Halfspace, 0, len(mt.rows))
+	for _, r := range mt.rows {
+		hs = append(hs, mt.run.inst.HS[r])
 	}
-	return best
+	return hs
 }
 
 // AddUser registers a new user, updates the region incrementally, and
-// returns the user's index (for a later RemoveUser). Valid indices are
-// non-negative; on error the returned index is -1, so it can never be
-// mistaken for the first user's index 0.
+// returns the user's handle (for a later RemoveUser). Valid handles are
+// non-negative; on error the returned handle is -1, so it can never be
+// mistaken for the first user's handle 0.
 //
 // The new user becomes a singleton pending view on every leaf, decided or
 // not, so that the accounting invariant (counts + pending = alive users)
@@ -145,21 +142,21 @@ func (mt *Maintainer) AddUser(u topk.UserPref) (int, error) {
 	return handles[0], nil
 }
 
-// RemoveUser retires the user at the given index and updates the region
+// RemoveUser retires the user with the given handle and updates the region
 // incrementally: the user is stripped from every leaf's pending views and
 // counts, and reported leaves whose decision the removal broke are
 // re-verified. Like AddUser, it is a single-event ApplyBatch.
-func (mt *Maintainer) RemoveUser(idx int) error {
-	_, err := mt.ApplyBatch([]Event{{Kind: EventDepart, Handle: idx}})
+func (mt *Maintainer) RemoveUser(handle int) error {
+	_, err := mt.ApplyBatch([]Event{{Kind: EventDepart, Handle: handle}})
 	return err
 }
 
 // NextHandle returns the handle the next successful arrival will receive
-// (handles are append-only; removed slots are tombstoned, never reused).
+// (handles are sequential and never reused, whatever row the user takes).
 // An ingest layer queueing arrivals can therefore predict handles at
 // enqueue time: with every event funneled through one FIFO queue, the
 // i-th queued arrival gets NextHandle()+i.
-func (mt *Maintainer) NextHandle() int { return len(mt.run.inst.Users) }
+func (mt *Maintainer) NextHandle() int { return mt.next }
 
 // EventKind discriminates the population events of a maintenance batch.
 type EventKind uint8
@@ -178,12 +175,12 @@ type Event struct {
 	Handle int           // departure target (EventDepart)
 }
 
-// batchOp is an event in staged form: an arrival's singleton pending
-// group or a departure's influential halfspace, plus the population size
-// right after the event.
+// batchOp is an event in staged form: the user's row, an arrival's
+// singleton pending group or a departure's influential halfspace, plus
+// the population size right after the event.
 type batchOp struct {
 	arrive bool
-	idx    int
+	idx    int // row
 	g      *Group
 	h      geom.Halfspace
 	nAlive int
@@ -197,7 +194,7 @@ type batchOp struct {
 // whole batch with the Maintainer untouched.
 //
 // A valid batch is registered (arrivals' thresholds and halfspaces
-// appended to the instance, departures tombstoned) and then applied one
+// stored in instance rows, departures unmapped) and then applied one
 // event at a time, each through the same routed descent, re-verification
 // drain and bounds refresh as a one-event batch. The arrangement, the
 // region and every Stats counter therefore end exactly as if the events
@@ -214,8 +211,8 @@ func (mt *Maintainer) ApplyBatch(events []Event) ([]int, error) {
 	handles := make([]int, len(events))
 	nAfter := make([]int, len(events))
 	var born, dead map[int]bool
-	next := len(inst.Users)
-	n := mt.nAlive
+	next := mt.next
+	n := mt.run.nU
 	for i, ev := range events {
 		switch ev.Kind {
 		case EventArrive:
@@ -244,8 +241,8 @@ func (mt *Maintainer) ApplyBatch(events []Event) ([]int, error) {
 			n++
 		case EventDepart:
 			hd := ev.Handle
-			present := hd >= 0 && ((hd < len(inst.Users) && mt.alive[hd]) || born[hd]) && !dead[hd]
-			if !present {
+			_, alive := mt.rows[hd]
+			if !(alive || born[hd]) || dead[hd] {
 				return nil, fmt.Errorf("core: event %d: user %d not present", i, hd)
 			}
 			if dead == nil {
@@ -262,14 +259,16 @@ func (mt *Maintainer) ApplyBatch(events []Event) ([]int, error) {
 
 	// Register the events in order: arrivals get their thresholds (so the
 	// search counters accumulate exactly as per-event AddUser calls would)
-	// and their instance rows, departures their tombstones. Nothing reads
-	// a user's row or liveness before its own op is applied, so
-	// registering the whole batch first is equivalent to interleaving.
+	// and their instance rows, departures leave the handle map. Nothing
+	// reads a user's row before its own op is applied, and a row is freed
+	// only once its op has left the log, so registering the whole batch
+	// first is equivalent to interleaving.
 	ops := make([]batchOp, len(events))
 	for i, ev := range events {
 		if ev.Kind == EventDepart {
-			mt.alive[ev.Handle] = false
-			ops[i] = batchOp{idx: ev.Handle, h: inst.HS[ev.Handle], nAlive: nAfter[i]}
+			r := mt.rows[ev.Handle]
+			delete(mt.rows, ev.Handle)
+			ops[i] = batchOp{idx: r, h: inst.HS[r], nAlive: nAfter[i]}
 			continue
 		}
 		u := ev.User
@@ -277,106 +276,55 @@ func (mt *Maintainer) ApplyBatch(events []Event) ([]int, error) {
 		kth := mt.search.Kth(u.W, u.K)
 		mt.run.st.ScannedProducts += mt.search.Stats.ScannedProducts
 		mt.run.st.LayerPrunes += mt.search.Stats.LayerPrunes
-		mt.alive = append(mt.alive, true)
-		inst.Users = append(inst.Users, u)
-		inst.Kth = append(inst.Kth, kth)
-		inst.HS = append(inst.HS, geom.Halfspace{W: u.W, T: kth.Score})
-		if inst.Dim > 1 {
-			inst.WProj = append(inst.WProj, u.W[:inst.Dim-1])
-		} else {
-			inst.WProj = append(inst.WProj, u.W)
-		}
-		ops[i] = batchOp{arrive: true, idx: handles[i],
-			g:      &Group{Pivot: kth.Index, R: inst.Products[kth.Index], Members: []int{handles[i]}},
-			h:      geom.Halfspace{W: u.W, T: kth.Score},
+		r := mt.storeRow(u, kth)
+		mt.rows[handles[i]] = r
+		ops[i] = batchOp{arrive: true, idx: r,
+			g:      &Group{Pivot: kth.Index, R: inst.Products[kth.Index], Members: []int{r}},
+			h:      inst.HS[r],
 			nAlive: nAfter[i]}
 	}
+	mt.next = next
 	for _, op := range ops {
 		mt.applyOp(op)
 	}
 	return handles, nil
 }
 
-// mineHeadroom is the padding the threshold miner adds beyond the bare
-// decision proof. AA decides every leaf the moment the decision is provable,
-// so decided leaves sit exactly at their threshold (revival slack m-1,
-// coverage count m) and any event that moves the right count threatens all
-// of them at once. Mining past the minimum by this many users leaves the
-// proof able to absorb that many adverse events before the leaf is
-// threatened again — which is what lets ancestor subtrees defer whole
-// event windows instead of descending on every arrival.
-const mineHeadroom = 8
-
-// minePending classifies a leaf's pending users against the leaf until the
-// decision proof is restored with headroom — OutCount reaching want when
-// mineOut is set, InCount reaching it otherwise — or the pool is exhausted.
-// Conclusive users move from the pending views into the counts — exactly
-// the classification a re-verification drain would reach, reached now —
-// and cut users stay pending. Mining is keyed to replayed log positions
-// (stageLeaf calls it per op), never to when a leaf happens to be visited,
-// which is what keeps the routed and swept modes byte-identical: the same
-// op sequence mines the same users at the same events in both.
-func (mt *Maintainer) minePending(leaf *celltree.Cell, own func() *cellGroups, mineOut bool, want int) {
-	done := func() bool {
-		if mineOut {
-			return leaf.OutCount >= want
-		}
-		return leaf.InCount >= want
+// storeRow writes an arriving user into a free instance row, or appends a
+// new row when none is free, and returns the row.
+func (mt *Maintainer) storeRow(u topk.UserPref, kth topk.KthResult) int {
+	inst := mt.run.inst
+	h := geom.Halfspace{W: u.W, T: kth.Score}
+	wp := u.W
+	if inst.Dim > 1 {
+		wp = u.W[:inst.Dim-1]
 	}
-	if len(pendingOf(leaf).views) == 0 {
-		return
+	if n := len(mt.free); n > 0 {
+		r := mt.free[n-1]
+		mt.free = mt.free[:n-1]
+		inst.Users[r], inst.Kth[r], inst.HS[r], inst.WProj[r] = u, kth, h, wp
+		return r
 	}
-	cg := own()
-	for vi := 0; vi < len(cg.views) && !done(); {
-		v := cg.views[vi]
-		// kept is built lazily: views are shared between sibling leaves, so
-		// a mutated member list must be a fresh slice, but a view that mines
-		// nothing is kept as-is without copying.
-		var kept []int
-		mined := false
-		for pos, ui := range v.members {
-			if mined && done() {
-				kept = append(kept, v.members[pos:]...)
-				break
-			}
-			switch leaf.Classify(mt.run.inst.HS[ui], !mt.opts.DisableFastTest) {
-			case geom.Covers:
-				leaf.InCount++
-			case geom.Excludes:
-				leaf.OutCount++
-			default: // Cuts: stays pending
-				if mined {
-					kept = append(kept, ui)
-				}
-				continue
-			}
-			if !mined {
-				mined = true
-				kept = append(make([]int, 0, len(v.members)-1), v.members[:pos]...)
-			}
-		}
-		if !mined {
-			vi++
-			continue
-		}
-		if len(kept) == 0 {
-			cg.remove(vi) // swap-delete: revisit index vi
-			continue
-		}
-		cg.views[vi] = v.withMembers(kept)
-		vi++
-	}
+	inst.Users = append(inst.Users, u)
+	inst.Kth = append(inst.Kth, kth)
+	inst.HS = append(inst.HS, h)
+	inst.WProj = append(inst.WProj, wp)
+	return len(inst.Users) - 1
 }
 
-// stageLeaf replays mt.log[from:] against one leaf, cloning its payload on
-// first mutation and stopping at the first op that breaks the leaf's
-// decision. from indexes mt.log (subtract logBase from an absolute
-// StageSeq). The leaf is marked current through the end of the log up
-// front: a fired leaf is re-verified by the caller's drain before the op
-// returns, so the mark is true by the time anything reads it. Reports
-// whether the leaf fired, which only the newest op may make it do: the
-// older ops in its backlog were deferred under a no-fire proof (route.go),
-// and a fire there means that proof was unsound.
+// stageLeaf replays mt.log[from:] against one leaf and stops at the first
+// op that breaks the leaf's decision. An op changes the leaf's counts only
+// by classifying its own halfspace: an arrival is absorbed where it is
+// conclusive and pends where it cuts; a departure is stripped from the
+// pending views, or undone from the counts if the leaf had decided it.
+// The payload is cloned on first mutation. from indexes mt.log (subtract
+// logBase from an absolute StageSeq). The leaf is marked current through
+// the end of the log up front: a fired leaf is re-verified by the
+// caller's drain before the op returns, so the mark is true by the time
+// anything reads it. Reports whether the leaf fired, which only the
+// newest op may make it do: the older ops in its backlog were deferred
+// under a no-fire proof (route.go), and a fire there means that proof
+// was unsound.
 func (mt *Maintainer) stageLeaf(leaf *celltree.Cell, from int) bool {
 	leaf.MaintSeq = mt.logBase + len(mt.log)
 	leaf.StageSeq = leaf.MaintSeq
@@ -457,28 +405,16 @@ func (mt *Maintainer) stageLeaf(leaf *celltree.Cell, from int) bool {
 				}
 			}
 		}
-		// Keep the decision proof padded: whenever the leaf's margin is
-		// inside the headroom band, mine pending users back into the counts
-		// before checking the fire condition. AA decides leaves exactly at
-		// their threshold, and a zero-headroom leaf pins its whole ancestor
-		// chain's routing bounds at the threshold too — one inconclusive
-		// event per window would force the descent right back here. The
-		// mined padding is what lets later windows defer above this leaf.
-		// Only then can a fire still be warranted (arrivals alone raise
-		// revival slack; departures alone lower coverage), meaning the
-		// pending pool genuinely ran dry.
+		// Only an arrival can revive an eliminated leaf, and only a
+		// departure can demote a reported one. A broken decision fires the
+		// leaf into the caller's re-verification drain, which classifies
+		// its pending users (and may split it) as AA does.
 		switch leaf.Status {
 		case celltree.Eliminated:
-			if want := op.nAlive - mt.m + 1 + mineHeadroom; leaf.OutCount < want {
-				mt.minePending(leaf, own, true, want)
-			}
 			if op.arrive && op.nAlive-leaf.OutCount >= mt.m {
 				return mt.fire(e)
 			}
 		case celltree.Reported:
-			if want := mt.m + mineHeadroom; leaf.InCount < want {
-				mt.minePending(leaf, own, false, want)
-			}
 			if !op.arrive && leaf.InCount < mt.m {
 				return mt.fire(e)
 			}
@@ -504,7 +440,6 @@ func (mt *Maintainer) fire(e int) bool {
 // subtrees' bounds are refreshed. Pushing in tree-leaf order matters to
 // the round-robin strategy, whose cursor follows the processing order.
 func (mt *Maintainer) applyOp(op batchOp) {
-	mt.nAlive = op.nAlive
 	mt.run.nU = op.nAlive
 	mt.log = append(mt.log, op)
 	mt.fired = mt.fired[:0]

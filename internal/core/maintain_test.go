@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"mir/internal/data"
@@ -27,6 +28,57 @@ func checkMaintainerOracle(t *testing.T, mt *Maintainer, m int, rng *rand.Rand, 
 		if (covers >= m) != reg.Contains(p) {
 			t.Fatalf("maintained region wrong at %v: covers %d (m=%d, |U|=%d) contains=%v",
 				p, covers, m, mt.NumUsers(), reg.Contains(p))
+		}
+	}
+}
+
+// aliveRows returns the set of instance rows the alive users occupy.
+func aliveRows(mt *Maintainer) map[int]bool {
+	alive := make(map[int]bool, len(mt.rows))
+	for _, r := range mt.rows {
+		alive[r] = true
+	}
+	return alive
+}
+
+// aliveUsers returns the alive users in handle order.
+func aliveUsers(mt *Maintainer) []topk.UserPref {
+	handles := make([]int, 0, len(mt.rows))
+	for h := range mt.rows {
+		handles = append(handles, h)
+	}
+	sort.Ints(handles)
+	users := make([]topk.UserPref, len(handles))
+	for i, h := range handles {
+		users[i] = mt.run.inst.Users[mt.rows[h]]
+	}
+	return users
+}
+
+// checkFreshRegion compares the maintained region against a fresh AA over
+// the alive users by sampling points away from every boundary.
+func checkFreshRegion(t *testing.T, mt *Maintainer, ps []geom.Vector, rng *rand.Rand, probes int) {
+	t.Helper()
+	fresh, err := NewInstance(ps, aliveUsers(mt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshReg, err := AA(fresh, mt.m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maintained := mt.Region()
+	for probe := 0; probe < probes; probe++ {
+		p := make(geom.Vector, fresh.Dim)
+		for j := range p {
+			p[j] = rng.Float64()
+		}
+		if fresh.MinBoundaryGap(p) < 1e-6 {
+			continue
+		}
+		if freshReg.Contains(p) != maintained.Contains(p) {
+			t.Fatalf("maintained and fresh regions disagree at %v (covers %d)",
+				p, fresh.CountCovering(p))
 		}
 	}
 }
@@ -115,35 +167,56 @@ func TestMaintainerChurn(t *testing.T) {
 			checkMaintainerOracle(t, mt, m, rng, 500)
 		}
 		// Final cross-check against a fresh AA run over the alive users.
-		var aliveUsers []topk.UserPref
-		for i, u := range mt.run.inst.Users {
-			if mt.alive[i] {
-				aliveUsers = append(aliveUsers, u)
-			}
+		checkFreshRegion(t, mt, ps, rng, 2000)
+	}
+}
+
+// TestMaintainerReclaimsRows runs a long session stream, one event per
+// ApplyBatch, across a log compaction: departed users' rows must be
+// recycled, so the instance holds at most the peak population plus the
+// departures the log can hold, and fewer rows than the stream's residents
+// plus arrivals.
+func TestMaintainerReclaimsRows(t *testing.T) {
+	const nP, nPool, nU, d, k, m, steps = 120, 14, 10, 3, 5, 5, 2648
+	rng := rand.New(rand.NewSource(71))
+	ps := data.Independent(rng, nP, d)
+	pool := data.WithK(data.ClusteredUsers(rng, nPool, d, 3, 0.08), k)
+	events := sessionScript(rng, pool, nU, steps)
+	opts := Options{Workers: 1}
+	inst, err := NewInstanceOpts(ps, deepCopyUsers(pool[:nU]), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt, err := NewMaintainer(inst, m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak, arrivals := nU, 0
+	for e := range events {
+		if _, err := mt.ApplyBatch(events[e : e+1]); err != nil {
+			t.Fatalf("event %d: %v", e, err)
 		}
-		fresh, err := NewInstance(ps, aliveUsers)
-		if err != nil {
-			t.Fatal(err)
+		if events[e].Kind == EventArrive {
+			arrivals++
 		}
-		freshReg, err := AA(fresh, m, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		maintained := mt.Region()
-		for probe := 0; probe < 2000; probe++ {
-			p := make(geom.Vector, d)
-			for j := range p {
-				p[j] = rng.Float64()
-			}
-			if fresh.MinBoundaryGap(p) < 1e-6 {
-				continue
-			}
-			if freshReg.Contains(p) != maintained.Contains(p) {
-				t.Fatalf("d=%d: maintained and fresh regions disagree at %v (covers %d)",
-					d, p, fresh.CountCovering(p))
-			}
+		peak = max(peak, mt.NumUsers())
+		if rows := len(inst.Users); rows > peak+routeLogCap {
+			t.Fatalf("event %d: %d rows, peak population %d plus log capacity %d",
+				e, rows, peak, routeLogCap)
 		}
 	}
+	rows := len(inst.Users)
+	t.Logf("%d events: %d rows for %d alive users (%d residents + %d arrivals)",
+		steps, rows, mt.NumUsers(), nU, arrivals)
+	if rows >= nU+arrivals {
+		t.Errorf("%d rows, want fewer than %d residents plus %d arrivals", rows, nU, arrivals)
+	}
+	if n := mt.Region().Stats.CountDesyncs; n != 0 {
+		t.Errorf("%d count desyncs", n)
+	}
+	checkFreshRegion(t, mt, ps, rng, 2000)
+	mt.settleAll()
+	auditAliveAccounting(t, mt)
 }
 
 func TestMaintainerErrors(t *testing.T) {
@@ -199,9 +272,9 @@ func TestMaintainerIncrementalWork(t *testing.T) {
 // |P|=2000, d=3, k=10, 40 residents of a 50-user clustered session pool,
 // m=20, Workers 1, after 120 warm-up events applied 12 per ApplyBatch.
 // "single" then applies one event per call, "burst48" 48; an op is one
-// call, and the per-event time, containment tests, pivots and staged
-// leaves are reported alongside. Each run rebuilds and re-warms the
-// arrangement outside the timer.
+// call, and the per-event time, containment tests, pivots, staged leaves
+// and fired leaves are reported alongside. Each run rebuilds and re-warms
+// the arrangement outside the timer.
 func BenchmarkStandingApply(b *testing.B) {
 	const nP, nPool, nU, d, k, m = 2000, 50, 40, 3, 10, 20
 	const warmup, warmBatch = 120, 12
@@ -245,6 +318,7 @@ func BenchmarkStandingApply(b *testing.B) {
 			b.ReportMetric(float64(st1.ContainmentTests-st0.ContainmentTests)/n, "tests/event")
 			b.ReportMetric(float64(st1.Pivots-st0.Pivots)/n, "pivots/event")
 			b.ReportMetric(float64(st1.RoutedLeaves-st0.RoutedLeaves)/n, "leaves/event")
+			b.ReportMetric(float64(st1.TouchedFrontier-st0.TouchedFrontier)/n, "fired/event")
 		})
 	}
 }

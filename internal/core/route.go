@@ -165,7 +165,7 @@ func (mt *Maintainer) refreshLeafBounds(c *celltree.Cell) {
 	}
 	switch c.Status {
 	case celltree.Eliminated:
-		c.ElimSlack = mt.nAlive - c.OutCount
+		c.ElimSlack = mt.run.nU - c.OutCount
 	case celltree.Reported:
 		c.RepIn = c.InCount
 	}
@@ -208,13 +208,15 @@ func (mt *Maintainer) refreshSubtree(c *celltree.Cell) {
 }
 
 // settleAll brings every leaf current through the end of the log, refreshes
-// every bound, and truncates the log (compaction). It runs after an op has
-// been applied, so every backlog it replays was deferred under a no-fire
-// proof, the newest op included: a fire here panics, making that invariant
-// an assertion instead of an assumption. The invariant tests also call this
-// to materialize deferred per-leaf state before auditing payloads. With
+// every bound, frees the rows of the log's departures (every non-empty
+// leaf has now staged them, so no pending view holds those rows) and
+// truncates the log (compaction). It runs after an op has been applied, so
+// every backlog it replays was deferred under a no-fire proof, the newest
+// op included: a fire here panics, making that invariant an assertion
+// instead of an assumption. The invariant tests also call this to
+// materialize deferred per-leaf state before auditing payloads. With
 // routing disabled every leaf is already current, so it only refreshes the
-// bounds and resets the log.
+// bounds, frees the rows and resets the log.
 func (mt *Maintainer) settleAll() {
 	end := mt.logBase + len(mt.log)
 	mt.leavesBuf = mt.run.tr.Leaves(nil, mt.leavesBuf[:0])
@@ -224,6 +226,11 @@ func (mt *Maintainer) settleAll() {
 		}
 	}
 	mt.refreshSubtree(mt.run.tr.Root)
+	for _, op := range mt.log {
+		if !op.arrive {
+			mt.free = append(mt.free, op.idx)
+		}
+	}
 	mt.logBase = end
 	mt.log = mt.log[:0]
 }

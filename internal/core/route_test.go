@@ -31,9 +31,9 @@ func auditAliveAccounting(t *testing.T, mt *Maintainer) {
 				}
 			}
 		}
-		if got := leaf.InCount + leaf.OutCount + len(pend); got != mt.nAlive {
+		if got := leaf.InCount + leaf.OutCount + len(pend); got != mt.NumUsers() {
 			t.Fatalf("leaf %d (status %v): in=%d out=%d pending=%d sums to %d, alive %d",
-				leaf.ID, leaf.Status, leaf.InCount, leaf.OutCount, len(pend), got, mt.nAlive)
+				leaf.ID, leaf.Status, leaf.InCount, leaf.OutCount, len(pend), got, mt.NumUsers())
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"mir/internal/geom"
 	"mir/internal/topk"
 )
@@ -11,14 +9,14 @@ import (
 // Maintainer itself is single-threaded; a snapshot decouples readers from
 // it — any number of goroutines may query a snapshot concurrently while
 // the Maintainer keeps mutating, because everything the snapshot holds is
-// either freshly built (the region's polytopes, the alive bitmap) or
-// write-once for the run (product rows, halfspace entries).
+// either freshly built (the region's polytopes, the alive halfspace list)
+// or immutable for the run (product rows, the top-k index, halfspace
+// normals).
 type MaintSnapshot struct {
 	region   *Region
-	numUsers int
 	products []geom.Vector
-	hs       []geom.Halfspace
-	alive    []bool
+	index    *topk.Index
+	hs       []geom.Halfspace // alive users'
 }
 
 // Snapshot captures the Maintainer's current region and population for
@@ -28,10 +26,9 @@ type MaintSnapshot struct {
 func (mt *Maintainer) Snapshot() *MaintSnapshot {
 	return &MaintSnapshot{
 		region:   mt.run.region(),
-		numUsers: mt.nAlive,
 		products: mt.run.inst.Products,
-		hs:       append([]geom.Halfspace(nil), mt.run.inst.HS...),
-		alive:    append([]bool(nil), mt.alive...),
+		index:    mt.run.inst.TopKIndex,
+		hs:       mt.aliveHS(),
 	}
 }
 
@@ -39,76 +36,17 @@ func (mt *Maintainer) Snapshot() *MaintSnapshot {
 func (s *MaintSnapshot) Region() *Region { return s.region }
 
 // NumUsers returns the alive population size at capture time.
-func (s *MaintSnapshot) NumUsers() int { return s.numUsers }
+func (s *MaintSnapshot) NumUsers() int { return len(s.hs) }
 
 // CountCovering returns how many alive users a product at p would cover.
-func (s *MaintSnapshot) CountCovering(p geom.Vector) int {
-	n := 0
-	for i := range s.hs {
-		if s.alive[i] && s.hs[i].Contains(p) {
-			n++
-		}
-	}
-	return n
-}
+func (s *MaintSnapshot) CountCovering(p geom.Vector) int { return countCovering(s.hs, p) }
 
 // MinBoundaryGap mirrors Maintainer.MinBoundaryGap at capture time,
 // including its empty-population contract: +Inf when no users are alive.
-func (s *MaintSnapshot) MinBoundaryGap(p geom.Vector) float64 {
-	best := math.Inf(1)
-	for i := range s.hs {
-		if !s.alive[i] {
-			continue
-		}
-		g := s.hs[i].Eval(p)
-		if g < 0 {
-			g = -g
-		}
-		if g < best {
-			best = g
-		}
-	}
-	return best
-}
-
-// Influence pairs a product with its reverse top-k cardinality over the
-// snapshot's alive population.
-type Influence struct {
-	Product  int
-	Coverage int
-}
+func (s *MaintSnapshot) MinBoundaryGap(p geom.Vector) float64 { return minBoundaryGap(s.hs, p) }
 
 // MostInfluential returns the n products with the largest alive-user
-// reverse top-k sets, coverage descending with ties toward the smaller
-// product index, selected with the shared top-k partial selection.
+// reverse top-k sets at capture time (see MostInfluential).
 func (s *MaintSnapshot) MostInfluential(n int) []Influence {
-	if n > len(s.products) {
-		n = len(s.products)
-	}
-	if n <= 0 {
-		return nil
-	}
-	counts := make([]int, len(s.products))
-	for i := range s.hs {
-		if !s.alive[i] {
-			continue
-		}
-		for pi, p := range s.products {
-			if s.hs[i].Contains(p) {
-				counts[pi]++
-			}
-		}
-	}
-	idx := make([]int, len(counts))
-	scores := make([]float64, len(counts))
-	for i, c := range counts {
-		idx[i] = i
-		scores[i] = float64(c)
-	}
-	top := topk.SelectTop(idx, scores, n)
-	out := make([]Influence, len(top))
-	for i, pi := range top {
-		out[i] = Influence{Product: pi, Coverage: counts[pi]}
-	}
-	return out
+	return MostInfluential(s.index, s.products, s.hs, n)
 }

@@ -3,8 +3,7 @@ package mir
 import (
 	"fmt"
 
-	"mir/internal/geom"
-	"mir/internal/topk"
+	"mir/internal/core"
 )
 
 // ReverseTopK returns the users covered by the product at productIndex —
@@ -36,48 +35,17 @@ type Influence struct {
 // MostInfluential returns the n products with the largest reverse top-k
 // sets (ties broken toward the smaller index) — the "most influential
 // data objects" query of the reverse top-k literature, answered here from
-// the mIR preprocessing.
-// Coverage descends, ties break toward the smaller index.
-//
-// Counting runs user-major through the instance's layered top-k index
-// (Searcher.AtLeast) — each user's influential products are exactly
-// {p : w·p >= t_i - Eps}, so the index enumerates them with
-// superblock/block bound pruning instead of |P|·|U| dot products. The
-// index threshold is slackened by an extra Eps and every hit rechecked
-// with the halfspace's own Contains, so the counts (and therefore the
-// returned ranking) are byte-identical to a full |P|·|U| coverage scan
-// regardless of rounding differences between the two evaluation orders.
+// the mIR preprocessing: the counting runs user-major through the
+// instance's layered top-k index (core.MostInfluential), and the counts
+// are byte-identical to a full |P|·|U| coverage scan.
 func (a *Analyzer) MostInfluential(n int) []Influence {
-	if n > len(a.inst.Products) {
-		n = len(a.inst.Products)
-	}
-	if n <= 0 {
+	top := core.MostInfluential(a.inst.TopKIndex, a.inst.Products, a.inst.HS, n)
+	if top == nil {
 		return nil
 	}
-	counts := make([]int, len(a.inst.Products))
-	// A Searcher is not safe for concurrent use and Analyzer is documented
-	// concurrent-safe, so allocate one per call. The index is immutable,
-	// so its ids are product indices.
-	s := topk.NewSearcher(a.inst.TopKIndex)
-	var buf []int
-	for _, h := range a.inst.HS {
-		buf = s.AtLeast(h.W, h.T-2*geom.Eps, buf[:0])
-		for _, pi := range buf {
-			if h.Contains(a.inst.Products[pi]) {
-				counts[pi]++
-			}
-		}
-	}
-	idx := make([]int, len(counts))
-	scores := make([]float64, len(counts))
-	for i, c := range counts {
-		idx[i] = i
-		scores[i] = float64(c)
-	}
-	top := topk.SelectTop(idx, scores, n)
 	out := make([]Influence, len(top))
-	for i, pi := range top {
-		out[i] = Influence{ProductIndex: pi, Coverage: counts[pi]}
+	for i, in := range top {
+		out[i] = Influence{ProductIndex: in.Product, Coverage: in.Coverage}
 	}
 	return out
 }
