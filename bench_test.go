@@ -46,9 +46,9 @@ func runRegion(b *testing.B, an *Analyzer, m int) {
 		pivots += reg.Stats().Pivots
 	}
 	// Simplex pivots are the deterministic cost metric behind the wall
-	// clock: they expose the warm-start savings independent of machine
-	// noise (internal/core's TestAAWorkGate bounds the warm- and
-	// cold-start pivot counts of fixed builds).
+	// clock: they expose LP work independent of machine noise
+	// (internal/core's TestAAWorkGate bounds the pivot counts of fixed
+	// builds).
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 }
 

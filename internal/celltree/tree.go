@@ -112,15 +112,6 @@ type Cell struct {
 	splitFlip   geom.Halfspace // split.Flip(), cached (left-child paths reuse it)
 	owner       *Tree
 	poly        *geom.Polytope // lazily built H-rep, cached (cells are classified many times)
-
-	// warm is the cell's LP basis snapshot, exported by the split-time
-	// reduction chain (or inherited from the parent when the reduction had
-	// nothing to export). Classification solves re-enter it. Ownership
-	// rule: written exactly once, by the shard that created the cell,
-	// before the cell is published to the scheduler; immutable afterwards,
-	// so concurrent classification reads race-free. nil at the root and
-	// whenever Tree.WarmStart is off.
-	warm *lp.Basis
 }
 
 // Parent returns the parent node (nil at the root).
@@ -151,14 +142,6 @@ type Tree struct {
 	// outcomes — and hence the reported region — are identical either way
 	// (see FullPolytope for the export path).
 	Prune bool
-
-	// WarmStart enables warm-started LP solves (on by default): split-time
-	// reduction chains basis snapshots test to test and leaves each child a
-	// compact per-cell basis; classification re-enters it. Like Prune, the
-	// flag changes only how solves start, never what they answer — regions
-	// and all Stats except the LP pivot counters are byte-identical either
-	// way (see TestWarmStartByteIdentical).
-	WarmStart bool
 
 	Stats Stats
 
@@ -202,12 +185,10 @@ type Stats struct {
 	SkippedSubtrees int
 	TouchedFrontier int
 
-	// LP aggregates the simplex-effort counters (pivots, warm hits/misses,
-	// cold solves) of every classification and reduction solve charged to
-	// this accumulator. Unlike every counter above, the pivot numbers are
-	// NOT part of the determinism contract across WarmStart settings — that
-	// is the point of the flag — but they merge order-free like the rest,
-	// so totals are deterministic for a fixed configuration at workers=1.
+	// LP aggregates the simplex-effort counters (pivots and solves) of
+	// every classification and reduction solve charged to this
+	// accumulator. Like the rest they merge order-free, so totals are
+	// deterministic for every worker count.
 	LP lp.Counters
 }
 
@@ -238,7 +219,7 @@ func (s *Stats) Merge(o Stats) {
 // IS-style problems, [p, 1]^d).
 func New(box *geom.Polytope) *Tree {
 	lo, hi, ok := box.MBB()
-	t := &Tree{Dim: box.Dim, Box: box, Prune: true, WarmStart: true}
+	t := &Tree{Dim: box.Dim, Box: box, Prune: true}
 	root := &Cell{ID: 0, MBBLo: lo, MBBHi: hi}
 	if !ok {
 		root.Status = Eliminated // empty search space
@@ -417,12 +398,6 @@ func (c *Cell) ClassifyInto(h geom.Halfspace, useFast bool, st *Stats) geom.Rela
 		}
 	}
 	st.ContainmentTests++
-	if c.owner.WarmStart {
-		// Seed the slab solves from the cell's split-time basis (c.warm is
-		// immutable once the cell is published, so concurrent classification
-		// stays race-free; a nil seed still chains the two slab solves).
-		return c.Polytope().ClassifyWarm(h, c.warm, &st.LP)
-	}
 	return c.Polytope().ClassifyCounted(h, &st.LP)
 }
 
@@ -527,28 +502,7 @@ func (sh *Shard) SplitBy(c *Cell, h geom.Halfspace) (left, right *Cell) {
 			in := append(sh.reduceIn[:0], base...)
 			in = append(in, hs)
 			sh.reduceIn = in[:0]
-			var red []geom.Halfspace
-			var rst geom.ReduceStats
-			if tr.WarmStart {
-				// Warm-start the reduction chain from the parent's basis and
-				// keep the last test's basis as the child's snapshot. Row keys
-				// survive the hop because the child's system reuses the
-				// parent's coefficient vectors (axis rows share the cached
-				// unit normals, survivors alias the parent's rows). When the
-				// chain exports nothing (no LP ran, or the final basis rested
-				// on a transient row) the child shares the parent's snapshot —
-				// a Basis is immutable, so sharing is safe.
-				wb := &lp.Basis{}
-				var wok bool
-				red, rst, wok = geom.ReduceCellBasis(tr.Dim, in, lo, hi, c.warm, wb, &sh.st.LP)
-				if wok {
-					ch.warm = wb
-				} else {
-					ch.warm = c.warm
-				}
-			} else {
-				red, rst, _ = geom.ReduceCellBasis(tr.Dim, in, lo, hi, nil, nil, &sh.st.LP)
-			}
+			red, rst := geom.ReduceCell(tr.Dim, in, lo, hi, &sh.st.LP)
 			sh.st.PruneLPTests += rst.LPTests
 			sh.st.PrunedRows += rst.BoxDropped + rst.LPDropped
 			ch.poly = &geom.Polytope{Dim: tr.Dim, Hs: red}

@@ -424,8 +424,6 @@ func TestStatsMergeOrderFree(t *testing.T) {
 			TouchedFrontier:  rng.Intn(1000),
 			LP: lp.Counters{
 				Pivots:     int64(rng.Intn(1000)),
-				WarmHits:   int64(rng.Intn(1000)),
-				WarmMisses: int64(rng.Intn(1000)),
 				ColdSolves: int64(rng.Intn(1000)),
 			},
 		}

@@ -134,7 +134,6 @@ func (r *aaRun) workers() int { return par.Resolve(r.opts.Workers) }
 func (r *aaRun) seedRoot() {
 	r.seq = &aaWorker{r: r, sh: r.tr.OwnShard(), st: &r.st}
 	r.tr.Prune = !r.opts.DisablePruning
-	r.tr.WarmStart = !r.opts.DisableWarmStart
 	root := r.tr.Root
 	if root.Status != celltree.Active {
 		return

@@ -99,7 +99,5 @@ func (s *Stats) mergeWorker(o *Stats) {
 	s.GroupBatchHits += o.GroupBatchHits
 	s.Iterations += o.Iterations
 	s.Pivots += o.Pivots
-	s.WarmHits += o.WarmHits
-	s.WarmMisses += o.WarmMisses
 	s.ColdSolves += o.ColdSolves
 }

@@ -31,10 +31,12 @@ type Maintainer struct {
 
 	// rows maps each alive user's handle to its row in the instance's
 	// Users, Kth, HS and WProj arrays; next is the handle the next arrival
-	// receives. A departed user's row joins free when the log compaction
-	// that drops its op has staged the departure on every leaf (until
-	// then, a lagging leaf may still hold the row pending); an arrival
-	// takes a free row before appending a new one.
+	// receives. A departed user's row joins free once its op's descent and
+	// drain have finished, and an arrival takes a free row before
+	// appending a new one. A lagging leaf may still hold the freed row
+	// pending, but it replays its backlog in log order and touches a
+	// logged user only through the op's own idx, h and g, so the departure
+	// strips the row before a later arrival can add it again.
 	rows map[int]int
 	next int
 	free []int
@@ -261,8 +263,11 @@ func (mt *Maintainer) ApplyBatch(events []Event) ([]int, error) {
 	// search counters accumulate exactly as per-event AddUser calls would)
 	// and their instance rows, departures leave the handle map. Nothing
 	// reads a user's row before its own op is applied, and a row is freed
-	// only once its op has left the log, so registering the whole batch
-	// first is equivalent to interleaving.
+	// only once its op has been applied, so registering the whole batch
+	// first is equivalent to interleaving. (Freeing at registration would
+	// not be: a later arrival of the same batch could then overwrite the
+	// row while the batch's earlier ops, the departure's own included,
+	// still read the departing user through it.)
 	ops := make([]batchOp, len(events))
 	for i, ev := range events {
 		if ev.Kind == EventDepart {
@@ -436,9 +441,10 @@ func (mt *Maintainer) fire(e int) bool {
 // applyOp applies one registered op: it joins the log, the routed descent
 // stages it (settling any deferred backlog on the leaves it reaches) and
 // collects the leaves it fires in tree-leaf order, those leaves are
-// reactivated and drained with the op's population, and the fired
-// subtrees' bounds are refreshed. Pushing in tree-leaf order matters to
-// the round-robin strategy, whose cursor follows the processing order.
+// reactivated and drained with the op's population, the fired subtrees'
+// bounds are refreshed, and a departure's row is freed. Pushing in
+// tree-leaf order matters to the round-robin strategy, whose cursor
+// follows the processing order.
 func (mt *Maintainer) applyOp(op batchOp) {
 	mt.run.nU = op.nAlive
 	mt.log = append(mt.log, op)
@@ -462,6 +468,9 @@ func (mt *Maintainer) applyOp(op batchOp) {
 			mt.refreshSubtree(c)
 			mt.pullUpChain(c.Parent())
 		}
+	}
+	if !op.arrive {
+		mt.free = append(mt.free, op.idx)
 	}
 	if len(mt.log) >= routeLogCap {
 		mt.settleAll()

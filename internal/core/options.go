@@ -20,9 +20,9 @@ const (
 // (the paper's configuration). DisableFastTest, DisableInnerGroup,
 // Disable2D and DisableGrouping are the effectiveness ablations of
 // Section 6.4, which the public mir.Options mirrors. The engineering
-// switches (DisablePruning, DisableWarmStart, DisableRouting) are not
-// public: their off paths serve as references for the identity tests and
-// the work gates (workgate_test.go).
+// switches (DisablePruning, DisableRouting) are not public: their off
+// paths serve as references for the identity tests and the work gates
+// (workgate_test.go).
 type Options struct {
 	// Workers caps the parallel execution layer threaded through the
 	// engine: the all-top-k preprocessing fan-out, instance construction
@@ -58,14 +58,6 @@ type Options struct {
 	// the computed region is identical either way; the switch exists for
 	// benchmarking and for the equivalence property tests.
 	DisablePruning bool
-	// DisableWarmStart turns off warm-started LP solves
-	// (celltree.Tree.WarmStart): every feasibility and redundancy solve
-	// cold-starts as in the pre-incremental implementation. Warm starts
-	// change only where the simplex search begins, never what it answers,
-	// so regions, arrangements, and all Stats except the pivot counters
-	// are byte-identical either way; the switch keeps the cold path
-	// selectable for benchmarking and the differential property tests.
-	DisableWarmStart bool
 	// DisableRouting makes routed incremental maintenance defer nothing:
 	// every event's descent reaches every leaf of the arrangement, the
 	// full sweep. Routing defers events on subtrees where conservative
@@ -105,18 +97,18 @@ type Stats struct {
 	PrunedRows   int
 	// Iterations counts cells popped from the frontier queue.
 	Iterations int
-	// Pivots, WarmHits, WarmMisses, and ColdSolves aggregate the simplex
-	// solvers' effort across every classification, redundancy, and hull
-	// LP of the run (lp.Counters, summed order-free per worker like
-	// PruneLPTests). Pivots is the primary cost metric of the warm-start
-	// optimization: it is deterministic at workers=1 for a fixed
-	// configuration, but — alone among the LP counters' peers — it is NOT
-	// invariant across DisableWarmStart settings (that difference is the
-	// optimization), while it IS invariant across worker counts in every
-	// mode (each cell's solve chain is cell-local).
-	Pivots     int64
-	WarmHits   int64
-	WarmMisses int64
+	// Pivots counts the simplex pivots of every classification,
+	// redundancy, and hull LP of the run, and ColdSolves counts those
+	// solves, each of which starts from the slack basis (lp.Counters,
+	// summed order-free per worker like PruneLPTests). Both are invariant
+	// across worker counts: every solve depends only on the cell it runs
+	// on.
+	Pivots int64
+	// Deprecated: always 0. LP solves are no longer warm-started; the
+	// fields stay because the benchmark in perfbench/analyst.go reads them
+	// for its lp.pivots_per_solve and lp.warm_hit_ratio metrics.
+	WarmHits, WarmMisses int64
+	// ColdSolves is described with Pivots.
 	ColdSolves int64
 	// ScannedProducts and LayerPrunes profile the layered all-top-k
 	// index: product rows actually scored and index blocks (the layers'
@@ -157,7 +149,5 @@ type Stats struct {
 // addLP folds a batch of solver-effort deltas into the Stats' LP counters.
 func (s *Stats) addLP(d lp.Counters) {
 	s.Pivots += d.Pivots
-	s.WarmHits += d.WarmHits
-	s.WarmMisses += d.WarmMisses
 	s.ColdSolves += d.ColdSolves
 }

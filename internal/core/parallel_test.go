@@ -53,6 +53,8 @@ func TestAAWorkersMatchSequential(t *testing.T) {
 		{3, 400, 30, 8, Options{DisableGrouping: true}},
 		{3, 400, 30, 8, Options{DisableInnerGroup: true}},
 		{3, 400, 30, 8, Options{GroupChoice: RoundRobinGroup}},
+		{3, 300, 24, 6, Options{DisableFastTest: true}},
+		{4, 300, 20, 5, Options{}},
 	}
 	for ci, tc := range cases {
 		inst := randomInstance(t, rng, tc.nP, tc.nU, tc.d, tc.k)
@@ -66,7 +68,7 @@ func TestAAWorkersMatchSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("case %d m=%d sequential: %v", ci, m, err)
 			}
-			for _, workers := range []int{2, 4} {
+			for _, workers := range []int{2, 4, 8} {
 				parOpts := tc.opts
 				parOpts.Workers = workers
 				par, err := AA(inst, m, parOpts)

@@ -65,8 +65,8 @@ func TestPruningPreservesRegion(t *testing.T) {
 			// differ by design.
 			so, sf := regOn.Stats, regOff.Stats
 			so.PruneLPTests, so.PrunedRows = 0, 0
-			so.Pivots, so.WarmHits, so.WarmMisses, so.ColdSolves = 0, 0, 0, 0
-			sf.Pivots, sf.WarmHits, sf.WarmMisses, sf.ColdSolves = 0, 0, 0, 0
+			so.Pivots, so.ColdSolves = 0, 0
+			sf.Pivots, sf.ColdSolves = 0, 0
 			if so != sf {
 				t.Fatalf("case %d m=%d: stats diverge beyond prune counters:\non  %+v\noff %+v",
 					ci, m, regOn.Stats, regOff.Stats)

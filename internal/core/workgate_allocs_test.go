@@ -9,19 +9,18 @@ import "testing"
 // -race sync.Pool drops Puts at random, so allocation counts stop being
 // repeatable.
 
-// aaGateAllocs parallels aaGateRows: heap allocations of each build.
+// aaGateAllocs parallels aaGateRows: heap allocations of each build. The
+// pruned rows were measured at caf8014 with warm starts off, the unpruned
+// rows at fc02b7b with warm starts off.
 var aaGateAllocs = []float64{
-	51987, 39303, 39323, // IND
-	43573, 32595, 32601, // COR
-	16332, 12278, 12273, // ANTI
+	39303, 39356, // IND
+	32595, 32617, // COR
+	12278, 12285, // ANTI
 }
 
-// standingGateAllocs parallels standingGateRows: allocations per event.
-// Both were re-measured once staging stopped re-classifying pending users,
-// which had cloned payloads and member lists on the leaves it re-proved
-// (every leaf, in the swept mode), so those allocations cannot return
-// unseen.
-var standingGateAllocs = []float64{157.8, 211.7}
+// standingGateAllocs parallels standingGateRows: allocations per event,
+// measured at fc02b7b with warm starts off.
+var standingGateAllocs = []float64{144.7, 198.6}
 
 // TestAAAllocGate bounds each AA gate row's allocations.
 func TestAAAllocGate(t *testing.T) {

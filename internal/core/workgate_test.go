@@ -14,12 +14,13 @@ import (
 
 // The work gates bound the deterministic work an AA build and a
 // maintenance event do, over small fixed instances at Workers: 1, against
-// constants measured at commit caf8014. Counters such as pivots, LP calls
-// and touched leaves are the same on every host, so a gate that trips
-// means the program changed, not the machine; wall time is left to
-// perfbench. The allocation half of each gate is in
-// workgate_allocs_test.go, which race builds skip: under -race sync.Pool
-// drops Puts at random. Both halves read one cached measurement.
+// constants measured at commit caf8014 unless a row says otherwise.
+// Counters such as pivots, LP calls and touched leaves are the same on
+// every host, so a gate that trips means the program changed, not the
+// machine; wall time is left to perfbench. The allocation half of each
+// gate is in workgate_allocs_test.go, which race builds skip: under -race
+// sync.Pool drops Puts at random. Both halves read one cached
+// measurement.
 
 // workCeiling is how far a gated counter may grow over its constant.
 // The counters are exact at Workers: 1, so the margin is pure headroom.
@@ -46,30 +47,28 @@ func mallocs() uint64 {
 }
 
 // aaGateRow is one AA build of the work gate: IND/COR/ANTI products,
-// |P|=2000, 40 clustered users, d=3, k=10, m=20. Each dataset has three
-// rows: pruning with warm starts, pruning with cold starts, and no
-// pruning with warm starts. Warm starts silently going cold, or either
-// switch's off path doing more work, shows up as a pivot jump.
+// |P|=2000, 40 clustered users, d=3, k=10, m=20. Each dataset has two
+// rows, with and without split-time pruning; either path doing more work
+// shows up as a pivot jump. Every solve starts cold: the pruned rows'
+// constants were measured at caf8014 and the unpruned rows' at fc02b7b,
+// both with warm starts off.
 type aaGateRow struct {
-	dataset       string
-	pruning, warm bool
-	pivots        int64 // Stats.Pivots at caf8014
+	dataset string
+	pruning bool
+	pivots  int64 // Stats.Pivots
 }
 
 func (r aaGateRow) String() string {
-	return fmt.Sprintf("AA %s pruning=%v warm=%v", r.dataset, r.pruning, r.warm)
+	return fmt.Sprintf("AA %s pruning=%v", r.dataset, r.pruning)
 }
 
 var aaGateRows = []aaGateRow{
-	{"IND", true, true, 318178},
-	{"IND", true, false, 903615},
-	{"IND", false, true, 581662},
-	{"COR", true, true, 219484},
-	{"COR", true, false, 592784},
-	{"COR", false, true, 325668},
-	{"ANTI", true, true, 75782},
-	{"ANTI", true, false, 182344},
-	{"ANTI", false, true, 102621},
+	{"IND", true, 903615},
+	{"IND", false, 816381},
+	{"COR", true, 592784},
+	{"COR", false, 447658},
+	{"ANTI", true, 182344},
+	{"ANTI", false, 148260},
 }
 
 // gateProducts draws |P| products of the named distribution.
@@ -107,7 +106,7 @@ var aaGateRuns = sync.OnceValues(func() ([]aaGateRun, error) {
 			}
 			insts[row.dataset] = inst
 		}
-		opts := Options{Workers: 1, DisablePruning: !row.pruning, DisableWarmStart: !row.warm}
+		opts := Options{Workers: 1, DisablePruning: !row.pruning}
 		before := mallocs()
 		reg, err := AA(inst, nU/2, opts)
 		if err != nil {
@@ -182,8 +181,11 @@ func sessionScript(rng *rand.Rand, pool []topk.UserPref, nU, steps int) []Event 
 // A batched warm-up of 120 events reaches the steady state uncounted; the
 // gate then counts 120 events, one per ApplyBatch, because per-event
 // cost is what routing makes sublinear. The constants are per event:
-// touched leaves as measured at caf8014, containment tests and pivots
-// re-measured once staging stopped re-classifying pending users.
+// touched leaves as measured at caf8014, containment tests re-measured
+// once staging stopped re-classifying pending users, and pivots measured
+// at fc02b7b with warm starts off (they were 3505.8 and 3509.2 warm: the
+// rise is the saving of the deleted warm-start path, which moved no wall
+// time).
 type standingGateRow struct {
 	routed                   bool
 	leaves, contains, pivots float64
@@ -194,8 +196,8 @@ func (r standingGateRow) String() string {
 }
 
 var standingGateRows = []standingGateRow{
-	{true, 395.55, 963.0, 3505.8},
-	{false, 3648.33, 963.2, 3509.2},
+	{true, 395.55, 963.0, 16263.0},
+	{false, 3648.33, 963.2, 16259.9},
 }
 
 // standingLocalityFloor is how many times fewer leaves a routed event

@@ -13,23 +13,15 @@ import (
 // the optimization entry points (Maximize, MBB, hull membership) and the
 // robust fallback.
 type feaserScratch struct {
-	f    lp.Feaser
-	ws   [][]float64
-	ts   []float64
-	keys []lp.Key  // row identity keys, parallel to ws (warm paths only)
-	neg  []float64 // scratch for negated coefficient rows
+	f   lp.Feaser
+	ws  [][]float64
+	ts  []float64
+	neg []float64 // scratch for negated coefficient rows
 
 	w     lp.Workspace // two-phase solves: optimization + robust fallback
 	aFlat []float64    // row-major constraint scratch for the Workspace
 	bBuf  []float64
 	cBuf  []float64 // objective scratch
-
-	// basis is the within-call warm-start chain buffer: exported after one
-	// solve, re-entered by the next solve of the same call. It never seeds
-	// a solve across entry points — the scratch is pooled and a later call
-	// may present a different polytope, so cross-call seeds must come from
-	// the caller (cell-attached snapshots), never from pooled state.
-	basis lp.Basis
 }
 
 var feaserPool = sync.Pool{New: func() any { return new(feaserScratch) }}
@@ -62,34 +54,6 @@ func (s *feaserScratch) load(p *Polytope, extra ...Halfspace) {
 	}
 }
 
-// loadKeyed is load plus row identity keys: every polytope row is keyed by
-// its coefficient vector (stable and shared down the cell tree by the
-// package's immutability convention), so a basis snapshot taken on a
-// related system can be re-entered. Rows appended by the caller afterwards
-// must push a matching key (usually nil for transient scratch rows).
-func (s *feaserScratch) loadKeyed(p *Polytope) {
-	s.ws = s.ws[:0]
-	s.ts = s.ts[:0]
-	s.keys = s.keys[:0]
-	for _, h := range p.Hs {
-		s.ws = append(s.ws, h.W)
-		s.ts = append(s.ts, h.T)
-		s.keys = append(s.keys, lp.KeyOf(h.W))
-	}
-}
-
-// solveSeeded is solve with warm-start: the keyed rows are solved from the
-// given basis snapshot (nil = cold), with the same robust two-phase
-// fallback. Verdicts are independent of the seed; only the pivot path
-// changes.
-func (s *feaserScratch) solveSeeded(dim int, seed *lp.Basis) bool {
-	feas, ok := s.f.FeasibleGEKeyed(dim, s.ws, s.ts, s.keys, seed)
-	if ok {
-		return feas
-	}
-	return s.solveFallback(dim)
-}
-
 // solve runs the dual-simplex feasibility test on the currently loaded
 // rows, falling back to the robust two-phase solver when the pivot budget
 // is exceeded. The loaded rows may extend beyond a polytope's own
@@ -101,10 +65,6 @@ func (s *feaserScratch) solve(dim int) bool {
 	if ok {
 		return feas
 	}
-	return s.solveFallback(dim)
-}
-
-func (s *feaserScratch) solveFallback(dim int) bool {
 	// Robust fallback (never hit in practice): rebuild A x <= b from the
 	// loaded rows in the flat scratch — W·x >= T becomes -W·x <= -T.
 	m := len(s.ws)

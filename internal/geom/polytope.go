@@ -168,35 +168,17 @@ func (p *Polytope) Minimize(obj Vector) (val float64, arg Vector, ok bool) {
 // simplex (lp.Feaser), which has only d rows and no phase 1 — this is the
 // hot path of the arrangement algorithms.
 func (p *Polytope) Classify(h Halfspace) Relation {
-	return p.classify(h, nil, nil, false)
+	return p.ClassifyCounted(h, nil)
 }
 
 // ClassifyCounted is Classify with LP effort accounting: the pivot and
-// solve counters of the underlying solvers are accumulated into ctr. The
-// solve path is exactly Classify's.
+// solve counters of the underlying solvers are accumulated into ctr
+// (nil: not counted).
 func (p *Polytope) ClassifyCounted(h Halfspace, ctr *lp.Counters) Relation {
-	return p.classify(h, nil, ctr, false)
-}
-
-// ClassifyWarm is Classify with warm-started LPs: the below-slab solve
-// re-enters seed (a basis snapshot from a related system — typically the
-// cell's split-time reduction basis; nil is allowed), and the above-slab
-// solve chains from the below solve's exported basis. The relation
-// returned is identical to Classify's for any seed — warm starts change
-// pivot paths, never verdicts; the seed is only read.
-func (p *Polytope) ClassifyWarm(h Halfspace, seed *lp.Basis, ctr *lp.Counters) Relation {
-	return p.classify(h, seed, ctr, true)
-}
-
-func (p *Polytope) classify(h Halfspace, seed *lp.Basis, ctr *lp.Counters, warm bool) Relation {
 	f := getScratch()
 	defer feaserPool.Put(f)
 	f0, w0 := f.f.Counters, f.w.Counters
-	if warm {
-		f.loadKeyed(p)
-	} else {
-		f.load(p)
-	}
+	f.load(p)
 	// below: p ∩ {W·x <= T - tol}, expressed as {-W·x >= -(T - tol)}.
 	f.neg = f.neg[:0]
 	for _, w := range h.W {
@@ -204,26 +186,10 @@ func (p *Polytope) classify(h Halfspace, seed *lp.Basis, ctr *lp.Counters, warm 
 	}
 	f.ws = append(f.ws, f.neg)
 	f.ts = append(f.ts, -(h.T - ClassifyTol))
-	var belowEmpty, aboveEmpty bool
-	if warm {
-		// The slab rows are transient (f.neg is reused scratch; h's vector
-		// appears with two different signs across the two solves), so they
-		// carry nil keys: they can never anchor a cross-call snapshot.
-		f.keys = append(f.keys, nil)
-		belowEmpty = !f.solveSeeded(p.Dim, seed)
-		chain := seed
-		if f.f.ExportBasis(&f.basis) {
-			chain = &f.basis
-		}
-		f.ws[len(f.ws)-1] = h.W
-		f.ts[len(f.ts)-1] = h.T + ClassifyTol
-		aboveEmpty = !f.solveSeeded(p.Dim, chain)
-	} else {
-		belowEmpty = !f.solve(p.Dim)
-		f.ws[len(f.ws)-1] = h.W
-		f.ts[len(f.ts)-1] = h.T + ClassifyTol
-		aboveEmpty = !f.solve(p.Dim)
-	}
+	belowEmpty := !f.solve(p.Dim)
+	f.ws[len(f.ws)-1] = h.W
+	f.ts[len(f.ts)-1] = h.T + ClassifyTol
+	aboveEmpty := !f.solve(p.Dim)
 	if ctr != nil {
 		d := f.f.Counters.Sub(f0)
 		d.Add(f.w.Counters.Sub(w0))

@@ -8,7 +8,7 @@ import (
 
 // TestPooledScratchConcurrency hammers every pooled-scratch entry point —
 // Classify, MBB, FeasiblePoint, Maximize, InConvexHull, ExtremePoints,
-// ReduceCellBasis — from many goroutines at once. All of them draw
+// ReduceCell — from many goroutines at once. All of them draw
 // workspaces from the shared sync.Pools (feaserPool, the LP workspace
 // pool, the 2D hull scratch pool) and the axis-normal unitCache, so a
 // scratch buffer leaking between borrowers shows up here as a -race
@@ -89,7 +89,7 @@ func TestPooledScratchConcurrency(t *testing.T) {
 		a.maxVal, _, a.maxOK = f.p.Maximize(f.obj)
 		a.inHull = InConvexHull(f.q, f.pts)
 		a.hull = ExtremePoints(f.pts)
-		red, st, _ := ReduceCellBasis(len(f.lo), f.p.Hs, f.lo, f.hi, nil, nil, nil)
+		red, st := ReduceCell(len(f.lo), f.p.Hs, f.lo, f.hi, nil)
 		a.redRows, a.redStats = len(red), st
 		return a
 	}

@@ -68,7 +68,7 @@ func unitVectors(dim int) (pos, neg []Vector) {
 	return pair[0], pair[1]
 }
 
-// ReduceStats reports what a ReduceCellBasis call did.
+// ReduceStats reports what a ReduceCell call did.
 type ReduceStats struct {
 	// BoxDropped rows were eliminated by the O(d) interval prescreen.
 	BoxDropped int
@@ -78,28 +78,14 @@ type ReduceStats struct {
 	LPDropped int
 }
 
-// ReduceCellBasis returns an equivalent, typically much smaller
+// ReduceCell returns an equivalent, typically much smaller
 // H-representation for a cell with raw constraint rows hs and certified
 // bounding box [lo, hi]: 2*dim axis rows encoding the box followed by the
 // rows of hs that survive redundancy elimination, in their original order.
 // The returned slice is freshly allocated; the axis rows share cached unit
-// normals and the surviving rows share hs's coefficient vectors.
-//
-// seed (optional) is a basis snapshot from a related system — the parent
-// cell's — used to warm-start the first redundancy LP; each subsequent
-// test warm-starts from the previous one's exported basis, monotone with
-// the incremental reduction. When export is non-nil the last successful
-// test's basis is left in it and ok reports whether it holds a usable
-// snapshot (false when no LP ran or no basis was exportable) — the caller
-// then keeps the parent's snapshot instead. ctr, when non-nil, accumulates
-// the LP effort counters. The surviving rows are identical for every
-// (seed, export) combination: warm starts change pivot paths, never the
-// feasibility verdicts that decide a drop.
-//
-// With seed == nil and export == nil the solves run cold and unkeyed —
-// exactly the legacy pivot sequence — so the cold path stays selectable
-// (celltree gates it on Tree.WarmStart).
-func ReduceCellBasis(dim int, hs []Halfspace, lo, hi Vector, seed, export *lp.Basis, ctr *lp.Counters) ([]Halfspace, ReduceStats, bool) {
+// normals and the surviving rows share hs's coefficient vectors. ctr, when
+// non-nil, accumulates the LP effort counters.
+func ReduceCell(dim int, hs []Halfspace, lo, hi Vector, ctr *lp.Counters) ([]Halfspace, ReduceStats) {
 	var st ReduceStats
 	pos, neg := unitVectors(dim)
 	out := make([]Halfspace, 0, 2*dim+len(hs))
@@ -130,9 +116,6 @@ func ReduceCellBasis(dim int, hs []Halfspace, lo, hi Vector, seed, export *lp.Ba
 	// against the current survivor set (rows already dropped excluded) in
 	// ascending order is deterministic and never drops two rows that only
 	// imply each other jointly.
-	warm := export != nil
-	chain := seed
-	exported := false
 	if len(out) > nBox+1 {
 		s := getScratch()
 		f0, w0 := s.f.Counters, s.w.Counters
@@ -142,16 +125,12 @@ func ReduceCellBasis(dim int, hs []Halfspace, lo, hi Vector, seed, export *lp.Ba
 			// suspect's boundary (W·x <= T + margin, i.e. -W·x >= -(T+margin)).
 			s.ws = s.ws[:0]
 			s.ts = s.ts[:0]
-			s.keys = s.keys[:0]
 			for k, o := range out {
 				if k == i {
 					continue
 				}
 				s.ws = append(s.ws, o.W)
 				s.ts = append(s.ts, o.T)
-				if warm {
-					s.keys = append(s.keys, lp.KeyOf(o.W))
-				}
 			}
 			nneg := growFloat(&s.neg, dim)
 			for j, w := range h.W {
@@ -160,19 +139,7 @@ func ReduceCellBasis(dim int, hs []Halfspace, lo, hi Vector, seed, export *lp.Ba
 			s.ws = append(s.ws, nneg)
 			s.ts = append(s.ts, -(h.T + reduceLPTol))
 			st.LPTests++
-			var reachable bool
-			if warm {
-				// The negated suspect is transient scratch: nil key.
-				s.keys = append(s.keys, nil)
-				reachable = s.solveSeeded(dim, chain)
-				if s.f.ExportBasis(export) {
-					chain = export
-					exported = true
-				}
-			} else {
-				reachable = s.solve(dim)
-			}
-			if !reachable {
+			if !s.solve(dim) {
 				// No point of the other rows reaches the suspect's boundary:
 				// the row is strictly implied — drop it (order-preserving).
 				out = append(out[:i], out[i+1:]...)
@@ -188,5 +155,5 @@ func ReduceCellBasis(dim int, hs []Halfspace, lo, hi Vector, seed, export *lp.Ba
 		}
 		feaserPool.Put(s)
 	}
-	return out, st, exported
+	return out, st
 }

@@ -104,15 +104,10 @@ type Stats struct {
 	EarlyReported    int
 	EarlyEliminated  int
 	Iterations       int
-	// Pivots, WarmHits, WarmMisses, and ColdSolves aggregate the simplex
-	// solvers' effort across the run's classification, redundancy, and
-	// convex-hull LPs. Pivots is the cost metric of the warm-start
-	// optimization: it drops when solves re-enter parent-cell bases, while
-	// every other counter — and the region itself — matches a cold-started
-	// build.
+	// Pivots and ColdSolves aggregate the simplex solvers' effort across
+	// the run's classification, redundancy, and convex-hull LPs: pivots,
+	// and solves (each starts from the slack basis).
 	Pivots     int64
-	WarmHits   int64
-	WarmMisses int64
 	ColdSolves int64
 	// ScannedProducts and LayerPrunes profile the layered all-top-k
 	// index behind the preprocessing and the Monitor's arrival path:
@@ -158,8 +153,6 @@ func (r *Region) Stats() Stats {
 		EarlyEliminated:  s.EarlyEliminated,
 		Iterations:       s.Iterations,
 		Pivots:           s.Pivots,
-		WarmHits:         s.WarmHits,
-		WarmMisses:       s.WarmMisses,
 		ColdSolves:       s.ColdSolves,
 		ScannedProducts:  s.ScannedProducts,
 		LayerPrunes:      s.LayerPrunes,
