@@ -43,12 +43,14 @@ mird-smoke:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# One iteration of the sequential-vs-parallel benchmark pair, the
-# numeric-kernel suite and the standing-maintenance pair (single events
-# and 48-event bursts), as a smoke test that the instrumented paths still
-# run (timings are not meaningful at -benchtime=1x).
+# One iteration of the sequential-vs-parallel benchmark pair, the top-k
+# index build and search, the numeric-kernel suite and the
+# standing-maintenance pair (single events and 48-event bursts), as a
+# smoke test that the instrumented paths still run (timings are not
+# meaningful at -benchtime=1x).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAllTopK|BenchmarkAAParallel' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkIndex' -benchtime 1x ./internal/topk
 	$(GO) test -run '^$$' -bench 'BenchmarkKernels' -benchtime 1x -benchmem ./internal/kern
 	$(GO) test -run '^$$' -bench 'BenchmarkStandingApply' -benchtime 1x -benchmem ./internal/core
 

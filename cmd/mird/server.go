@@ -266,11 +266,17 @@ func (s *server) handleArrive(w http.ResponseWriter, r *http.Request) {
 			len(req.Weights), len(s.products[0]))
 		return
 	}
+	positive := false
 	for j, x := range req.Weights {
 		if x < 0 {
 			httpError(w, http.StatusBadRequest, "weight %d is %v; weights must be non-negative", j, x)
 			return
 		}
+		positive = positive || x > 0
+	}
+	if !positive {
+		httpError(w, http.StatusBadRequest, "weights are all zero; at least one must be positive")
+		return
 	}
 	if req.K < 1 || req.K > len(s.products) {
 		httpError(w, http.StatusBadRequest, "k=%d out of range [1,%d]", req.K, len(s.products))

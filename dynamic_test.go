@@ -269,10 +269,11 @@ func assertRegionsIdentical(t *testing.T, label string, want, got *Region) {
 // TestMonitorHandleContractUnderFailures is the handle-contract property
 // test: rejected arrivals must not consume a handle or leave partial
 // state. It interleaves malformed arrivals (wrong dimensionality both
-// ways, k=0, k>|P|) with good events against a mirror Monitor that
-// receives only the good events; after every step the handles, the
-// populations, and the regions must agree, and every rejected arrival
-// must return -1 while leaving NextHandle unchanged.
+// ways, k=0, k>|P|, a non-finite or negative weight, all-zero weights)
+// with good events against a mirror Monitor that receives only the good
+// events; after every step the handles, the populations, and the regions
+// must agree, and every rejected arrival must return -1 while leaving
+// NextHandle unchanged.
 func TestMonitorHandleContractUnderFailures(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ps, us := fixture(rng, 150, 12, 3, 4)
@@ -293,6 +294,7 @@ func TestMonitorHandleContractUnderFailures(t *testing.T) {
 		{Weights: []float64{0.3, 0.3, 0.4}, K: 151},      // k beyond |P|
 		{Weights: []float64{0.3, math.NaN(), 0.4}, K: 2}, // non-finite weight
 		{Weights: []float64{0.8, -0.2, 0.4}, K: 2},       // negative weight
+		{Weights: []float64{0, 0, 0}, K: 2},              // all-zero weights
 	}
 	live := make([]int, 12)
 	for i := range live {

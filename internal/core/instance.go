@@ -35,6 +35,11 @@ var (
 	// dominance test of Lemmas 3/4 and the top-k index's block bounds
 	// both hold only for w >= 0.
 	ErrNegativeWeight = errors.New("core: user weights must be non-negative")
+	// ErrZeroWeight rejects a user whose weights are all zero: the
+	// halfspace 0·x >= 0 covers all of product space, and WProj would
+	// place the user at the simplex vertex e_d, so the Lemma 3/4 hull
+	// tests would treat it as a different user.
+	ErrZeroWeight = errors.New("core: user weights must not all be zero")
 )
 
 // firstNonFinite returns the index of the first NaN or ±Inf in v, or -1.
@@ -55,6 +60,16 @@ func firstNegative(v []float64) int {
 		}
 	}
 	return -1
+}
+
+// allZero reports whether every entry of v is zero (either sign).
+func allZero(v []float64) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Instance is a validated, preprocessed mIR problem: the products, users,
@@ -79,7 +94,7 @@ type Instance struct {
 	// Groups partitions users by their top-k-th product.
 	Groups []*Group
 
-	// TopKIndex is the shared layered all-top-k product index: the
+	// TopKIndex is the shared all-top-k product index: the
 	// preprocessing answers every user's threshold from it, and the
 	// dynamic path (Maintainer.AddUser) reuses it for arriving users
 	// instead of scanning the full product set. Immutable under queries.
@@ -114,13 +129,14 @@ func NewInstanceWorkers(products []geom.Vector, users []topk.UserPref, workers i
 // tests). Every stage writes to index-addressed slots, so the resulting
 // Instance is identical for every worker count.
 //
-// The all-top-k step runs through the layered product index (Kth
+// The all-top-k step runs through the product index (Kth
 // results are byte-identical to the skyband scan topk.AllTopKWorkers);
 // the built index stays on the Instance for the dynamic path to reuse.
 //
 // Validation rejects NaN and ±Inf product attributes and user weights
-// with ErrNonFinite and negative user weights with ErrNegativeWeight,
-// next to the dimension and k checks.
+// with ErrNonFinite, negative user weights with ErrNegativeWeight and
+// all-zero weight vectors with ErrZeroWeight, next to the dimension and
+// k checks.
 //
 // After construction the Instance is read-only for query execution: AA
 // runs (and therefore concurrent Analyzer queries) only read it.
@@ -151,6 +167,9 @@ func NewInstanceOpts(products []geom.Vector, users []topk.UserPref, opts Options
 		}
 		if j := firstNegative(u.W); j >= 0 {
 			return nil, fmt.Errorf("%w: user %d weight %d is %v", ErrNegativeWeight, i, j, u.W[j])
+		}
+		if allZero(u.W) {
+			return nil, fmt.Errorf("%w: user %d", ErrZeroWeight, i)
 		}
 		if u.K < 1 || u.K > len(products) {
 			return nil, fmt.Errorf("%w: user %d has k=%d (|P|=%d)",
@@ -249,7 +268,7 @@ type Influence struct {
 // MostInfluential returns the n products contained in the most of the
 // halfspaces hs — the largest reverse top-k sets over the users hs
 // belongs to — coverage descending with ties toward the smaller product
-// index. ix is the products' layered top-k index.
+// index. ix is the products' top-k index.
 //
 // Counting runs user-major through the index (Searcher.AtLeast): each
 // user's influential products are exactly {p : w·p >= t_i - Eps}, so the

@@ -42,8 +42,8 @@ type Maintainer struct {
 	free []int
 
 	// search answers arriving users' top-k thresholds from the instance's
-	// shared layered index. The Maintainer is single-threaded, so one
-	// searcher suffices.
+	// shared index. The Maintainer is single-threaded, so one searcher
+	// suffices.
 	search *topk.Searcher
 
 	// run holds the arrangement and the instance (rows as above); run.nU
@@ -229,6 +229,9 @@ func (mt *Maintainer) ApplyBatch(events []Event) ([]int, error) {
 			if j := firstNegative(ev.User.W); j >= 0 {
 				return nil, fmt.Errorf("%w: event %d: new user weight %d is %v",
 					ErrNegativeWeight, i, j, ev.User.W[j])
+			}
+			if allZero(ev.User.W) {
+				return nil, fmt.Errorf("%w: event %d: new user", ErrZeroWeight, i)
 			}
 			if ev.User.K < 1 || ev.User.K > len(inst.Products) {
 				return nil, fmt.Errorf("%w: event %d: new user has k=%d (|P|=%d)",

@@ -226,6 +226,9 @@ func TestMaintainerErrors(t *testing.T) {
 	if _, err := mt.AddUser(topk.UserPref{W: geom.Vector{1.3, -0.3}, K: 3}); !errors.Is(err, ErrNegativeWeight) {
 		t.Errorf("negative weight: err = %v, want ErrNegativeWeight", err)
 	}
+	if _, err := mt.AddUser(topk.UserPref{W: geom.Vector{0, 0}, K: 3}); !errors.Is(err, ErrZeroWeight) {
+		t.Errorf("all-zero weights: err = %v, want ErrZeroWeight", err)
+	}
 	if err := mt.RemoveUser(99); err == nil {
 		t.Error("bad index accepted")
 	}

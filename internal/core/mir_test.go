@@ -315,6 +315,11 @@ func TestInputValidation(t *testing.T) {
 	if _, err := NewInstance(ps, negUs); !errors.Is(err, ErrNegativeWeight) {
 		t.Errorf("negative user weight: err = %v, want ErrNegativeWeight", err)
 	}
+	zeroUs := append([]topk.UserPref(nil), us...)
+	zeroUs[4] = topk.UserPref{W: geom.Vector{0, math.Copysign(0, -1), 0}, K: 5}
+	if _, err := NewInstance(ps, zeroUs); !errors.Is(err, ErrZeroWeight) {
+		t.Errorf("all-zero user weights: err = %v, want ErrZeroWeight", err)
+	}
 
 	inst, err := NewInstance(ps, us)
 	if err != nil {

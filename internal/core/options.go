@@ -110,12 +110,13 @@ type Stats struct {
 	WarmHits, WarmMisses int64
 	// ColdSolves is described with Pivots.
 	ColdSolves int64
-	// ScannedProducts and LayerPrunes profile the layered all-top-k
-	// index: product rows actually scored and index blocks (the layers'
-	// bound granules) skipped whole by the threshold bound, summed over
-	// the instance's preprocessing and every UserArrived answered from
-	// the index. Both are deterministic across worker counts (per-user
-	// work is partition-independent and merges by summation).
+	// ScannedProducts and LayerPrunes profile the all-top-k index:
+	// product rows actually scored and index blocks skipped whole by the
+	// threshold bound (LayerPrunes keeps its name from an earlier,
+	// layered index), summed over the instance's preprocessing and every
+	// UserArrived answered from the index. Both are deterministic across
+	// worker counts (per-user work is partition-independent and merges by
+	// summation).
 	ScannedProducts int64
 	LayerPrunes     int64
 	// RoutedLeaves, SkippedSubtrees, and TouchedFrontier profile routed

@@ -11,7 +11,7 @@ import (
 )
 
 // TestInstanceKthIndexOnOffByteIdentical pins the engine-level contract
-// of the layered index: Instance.Kth (identity and score bits) equals the
+// of the top-k index: Instance.Kth (identity and score bits) equals the
 // skyband scan reference topk.AllTopKWorkers, for workers 1, 2, 4, and 8.
 func TestInstanceKthIndexOnOffByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))

@@ -48,14 +48,17 @@ func mallocs() uint64 {
 
 // aaGateRow is one AA build of the work gate: IND/COR/ANTI products,
 // |P|=2000, 40 clustered users, d=3, k=10, m=20. Each dataset has two
-// rows, with and without split-time pruning; either path doing more work
-// shows up as a pivot jump. Every solve starts cold: the pruned rows'
-// constants were measured at caf8014 and the unpruned rows' at fc02b7b,
-// both with warm starts off.
+// rows, with and without split-time pruning. Every solve starts cold: the
+// pruned rows' pivot constants were measured at caf8014 and the unpruned
+// rows' at fc02b7b, both with warm starts off. Pivots alone cannot see
+// pruning stop: unpruned builds run fewer pivots than pruned ones, yet
+// their wider tableaus make AA far slower. The mean H-representation
+// rows per leaf can see it; their constants were measured at 91c14bb.
 type aaGateRow struct {
-	dataset string
-	pruning bool
-	pivots  int64 // Stats.Pivots
+	dataset     string
+	pruning     bool
+	pivots      int64   // Stats.Pivots
+	rowsPerLeaf float64 // mean len(leaf.Polytope().Hs) over the leaves
 }
 
 func (r aaGateRow) String() string {
@@ -63,12 +66,12 @@ func (r aaGateRow) String() string {
 }
 
 var aaGateRows = []aaGateRow{
-	{"IND", true, 903615},
-	{"IND", false, 816381},
-	{"COR", true, 592784},
-	{"COR", false, 447658},
-	{"ANTI", true, 182344},
-	{"ANTI", false, 148260},
+	{"IND", true, 903615, 11.81},
+	{"IND", false, 816381, 21.10},
+	{"COR", true, 592784, 11.81},
+	{"COR", false, 447658, 20.89},
+	{"ANTI", true, 182344, 11.50},
+	{"ANTI", false, 148260, 19.49},
 }
 
 // gateProducts draws |P| products of the named distribution.
@@ -83,10 +86,12 @@ func gateProducts(rng *rand.Rand, dataset string, n, d int) []geom.Vector {
 	}
 }
 
-// aaGateRun is one measured row: the build's Stats and its allocations.
+// aaGateRun is one measured row: the build's Stats, its allocations and
+// the mean H-representation rows of its leaves.
 type aaGateRun struct {
-	stats  Stats
-	allocs uint64
+	stats       Stats
+	allocs      uint64
+	rowsPerLeaf float64
 }
 
 // aaGateRuns builds every row once per test binary.
@@ -108,16 +113,30 @@ var aaGateRuns = sync.OnceValues(func() ([]aaGateRun, error) {
 		}
 		opts := Options{Workers: 1, DisablePruning: !row.pruning}
 		before := mallocs()
-		reg, err := AA(inst, nU/2, opts)
+		run, err := runAA(inst, nU/2, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", row, err)
 		}
-		runs[i] = aaGateRun{stats: reg.Stats, allocs: mallocs() - before}
+		reg := run.region()
+		allocs := mallocs() - before
+		// Read after the allocation window, which holds AA's own work
+		// only: Polytope may build a leaf's representation lazily.
+		leaves := run.tr.Leaves(nil, nil)
+		rows := 0
+		for _, leaf := range leaves {
+			rows += len(leaf.Polytope().Hs)
+		}
+		runs[i] = aaGateRun{
+			stats:       reg.Stats,
+			allocs:      allocs,
+			rowsPerLeaf: float64(rows) / float64(len(leaves)),
+		}
 	}
 	return runs, nil
 })
 
-// TestAAWorkGate bounds each row's simplex pivots.
+// TestAAWorkGate bounds each row's simplex pivots and its mean
+// H-representation rows per leaf.
 func TestAAWorkGate(t *testing.T) {
 	runs, err := aaGateRuns()
 	if err != nil {
@@ -125,6 +144,7 @@ func TestAAWorkGate(t *testing.T) {
 	}
 	for i, row := range aaGateRows {
 		checkCeiling(t, row.String(), "pivots", float64(runs[i].stats.Pivots), float64(row.pivots))
+		checkCeiling(t, row.String(), "rows/leaf", runs[i].rowsPerLeaf, row.rowsPerLeaf)
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 )
 
 // This file holds the flat-matrix scoring entry points behind the
-// layered top-k index (internal/topk): batched inner products of one
-// weight vector against the rows of a row-major d-column matrix, and
-// componentwise row maxima. The batched forms
-// exist so the index can score whole product layers over contiguous
-// memory instead of chasing per-product heap vectors.
+// top-k index (internal/topk): batched inner products of one weight
+// vector against the rows of a row-major d-column matrix, and
+// componentwise row maxima. The batched forms exist so the index can
+// score whole product blocks over contiguous memory instead of chasing
+// per-product heap vectors.
 //
 // The actual loops live in internal/kern: each entry point validates
 // its arguments and calls the kern loop once per matrix. DotRows runs
@@ -54,9 +54,9 @@ func DotRows(flat []float64, d int, w Vector, out []float64) {
 }
 
 // RowMax widens max (length d) to the componentwise maximum of itself
-// and the rows of flat. It is the bound-maintenance helper of the
-// layered index: a layer's per-dimension maxima, dotted with a
-// non-negative weight vector, upper-bound every score in the layer.
+// and the rows of flat. It is the bound-maintenance helper of the top-k
+// index: a block's per-dimension maxima, dotted with a non-negative
+// weight vector, upper-bound every score in the block.
 // flat must hold whole rows (a multiple of d values) and max must have
 // length d; like DotRows, RowMax panics on a mismatch rather than
 // silently ignoring a ragged trailing partial row, which would leave the

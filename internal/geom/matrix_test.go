@@ -36,7 +36,7 @@ func TestDotRowsBitIdenticalToDot(t *testing.T) {
 	}
 }
 
-// TestDotRowsBoundMonotone checks the upper-bound property the layered
+// TestDotRowsBoundMonotone checks the upper-bound property the top-k
 // index's early termination relies on: for non-negative weights, the
 // kernel's score of a componentwise maxima row is >= the kernel's score
 // of every row it was widened from, in float arithmetic, with no
@@ -78,7 +78,7 @@ func TestRowMaxWidens(t *testing.T) {
 
 // TestRowMaxValidates pins the length contract: a ragged trailing partial
 // row or a mis-sized bound vector must panic like DotRows does, not be
-// silently ignored (a dropped tail would leave the layer bound unsound for
+// silently ignored (a dropped tail would leave the block bound unsound for
 // whatever the caller meant it to cover).
 func TestRowMaxValidates(t *testing.T) {
 	mustPanic := func(name string, f func()) {

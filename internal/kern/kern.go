@@ -1,6 +1,6 @@
 // Package kern holds the numeric kernels behind the engine's inner
-// loops: batched weight-vector-times-row scoring (the layered top-k
-// index), the componentwise row maxima that bound the index's blocks,
+// loops: batched weight-vector-times-row scoring (the top-k index), the
+// componentwise row maxima that bound the index's blocks,
 // and simplex pivot row elimination (the LP substrate). It is a leaf
 // package — no imports beyond the standard library — so both
 // internal/geom and internal/lp can sit on top of it.

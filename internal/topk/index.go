@@ -8,22 +8,16 @@ import (
 	"mir/internal/par"
 )
 
-// This file implements the indexed all-top-k engine: a layered product
-// index in the style of the onion technique / the layered indexes of the
-// reverse top-k literature (Vlachou et al.), plus a per-user
+// This file implements the indexed all-top-k engine: one kd-ordered,
+// packed product matrix with componentwise-maxima bounds, plus a per-user
 // threshold-algorithm search with Fagin-style early termination.
 //
-// Structure. Products are peeled into dominance rounds — round 0 is the
-// skyline, round i the skyline of what remains after rounds 0..i-1 are
-// removed — and consecutive rounds are banded into layers of a minimum
-// thickness (the peel is capped; the remainder forms a final tail
-// layer). Within a layer, rows are kd-ordered (recursive median splits
-// on the widest attribute), then packed into a flat row-major matrix and
-// cut into fixed-size blocks and superblocks, each storing its
-// componentwise maxima. Peel order plus kd order make every block a
-// small box of similar-depth, similar-direction rows, which is what
-// keeps a block's maxima close to its best member and the threshold
-// bound tight. (A block of scattered anti-correlated skyline points
+// Structure. The products are kd-ordered (recursive median splits on the
+// widest attribute), then packed into a flat row-major matrix and cut
+// into fixed-size blocks and superblocks, each storing its componentwise
+// maxima. kd order makes every block a small box of similar rows, which
+// is what keeps a block's maxima close to its best member and the
+// threshold bound tight. (A block of scattered anti-correlated points
 // would bound near the corner of the space and never prune.)
 //
 // Search. A user's top-k query keeps a bounded k-heap whose root is the
@@ -55,68 +49,41 @@ const (
 	superRows = 256
 )
 
-// maxLayers caps the dominance peel. Beyond the cap the remaining
-// products form a single tail layer: deep layers are touched so rarely
-// that finer peeling is not worth the build time.
-const maxLayers = 8
-
-// layerBandRows is the minimum layer thickness: consecutive peel rounds
-// are merged into one layer until it holds at least this many rows. A
-// user's top-k is spread across the first ~k peel rounds, and with
-// one-round layers each of those rounds costs at least one block scan;
-// banding lets same-direction candidates from neighboring depths share a
-// kd box, so the whole answer comes out of a handful of blocks.
-const layerBandRows = 2 * superRows
-
-// indexLayer is one dominance layer: packed member rows plus per-block
-// and per-superblock componentwise maxima.
-type indexLayer struct {
-	flat []float64 // row-major member attributes, len(ids)*d values
-	ids  []int     // global product id per row
+// Index is the all-top-k product index. It is immutable once built, so
+// any number of goroutines may search it concurrently.
+type Index struct {
+	dim  int
+	flat []float64 // row-major kd-ordered product attributes, Len()*dim values
+	ids  []int     // product id per row
 	// blockFlat row b bounds rows [b*blockRows, (b+1)*blockRows);
 	// superFlat row sb bounds rows [sb*superRows, (sb+1)*superRows).
 	// Both are row-major d-column matrices, so a query scores a whole
-	// layer's bounds with one batched DotRows call — dispatch once per
+	// bound level with one batched DotRows call — dispatch once per
 	// matrix, not once per granule.
 	blockFlat []float64
 	superFlat []float64
 }
 
-func (ly *indexLayer) rows() int { return len(ly.ids) }
-
-// blocks and supers count the layer's blocks and superblocks.
-func (ly *indexLayer) blocks() int { return (ly.rows() + blockRows - 1) / blockRows }
-func (ly *indexLayer) supers() int { return (ly.rows() + superRows - 1) / superRows }
-
-// Index is the layered all-top-k product index. It is immutable once
-// built, so any number of goroutines may search it concurrently.
-type Index struct {
-	dim int
-	n   int // product count
-
-	// rowData is the row-major product matrix the peel reads; row id i
-	// lives at [i*dim, (i+1)*dim). Layers hold packed copies.
-	rowData []float64
-
-	layers []*indexLayer
-}
-
-// NewIndex builds the layered index over the product set. Product ids
-// are the slice positions.
+// NewIndex builds the index over the product set. Product ids are the
+// slice positions.
 func NewIndex(products []geom.Vector) *Index {
 	d := 0
 	if len(products) > 0 {
 		d = len(products[0])
 	}
-	ix := &Index{dim: d, n: len(products)}
-	ix.rowData = make([]float64, 0, len(products)*d)
+	ids := make([]int, len(products))
 	for i, p := range products {
 		if len(p) != d {
 			panic(fmt.Sprintf("topk: index product %d has %d attributes, want %d", i, len(p), d))
 		}
-		ix.rowData = append(ix.rowData, p...)
+		ids[i] = i
 	}
-	ix.build()
+	kdOrder(products, ids)
+	ix := &Index{dim: d, ids: ids, flat: make([]float64, len(ids)*d)}
+	for r, id := range ids {
+		copy(ix.flat[r*d:(r+1)*d], products[id])
+	}
+	ix.computeBounds()
 	return ix
 }
 
@@ -124,99 +91,22 @@ func NewIndex(products []geom.Vector) *Index {
 func (ix *Index) Dim() int { return ix.dim }
 
 // Len returns the number of indexed products.
-func (ix *Index) Len() int { return ix.n }
+func (ix *Index) Len() int { return len(ix.ids) }
 
-// row returns the master-matrix row of product id as a Vector view.
-func (ix *Index) row(id int) geom.Vector {
-	return geom.Vector(ix.rowData[id*ix.dim : (id+1)*ix.dim : (id+1)*ix.dim])
+// blocks and supers count the index's blocks and superblocks.
+func (ix *Index) blocks() int { return (ix.Len() + blockRows - 1) / blockRows }
+func (ix *Index) supers() int { return (ix.Len() + superRows - 1) / superRows }
+
+// superSpan returns the block range [lo, hi) under superblock sb.
+func (ix *Index) superSpan(sb int) (lo, hi int) {
+	lo = sb * (superRows / blockRows)
+	return lo, min(lo+superRows/blockRows, ix.blocks())
 }
 
-// build peels the rows into dominance layers and builds every bound
-// structure. The peel scans candidates in (attribute-sum descending, id
-// ascending) order — the same order Skyband uses — so a candidate's
-// dominators always precede it and the per-round skyline falls out of a
-// sort-filter pass.
-func (ix *Index) build() {
-	d := ix.dim
-	remaining := make([]int, ix.n)
-	sums := make([]float64, ix.n)
-	for id := range remaining {
-		remaining[id] = id
-		sums[id] = ix.row(id).Sum()
-	}
-	sort.Slice(remaining, func(a, b int) bool {
-		if sums[remaining[a]] != sums[remaining[b]] {
-			return sums[remaining[a]] > sums[remaining[b]]
-		}
-		return remaining[a] < remaining[b]
-	})
-
-	next := make([]int, 0, len(remaining))
-	var layerIDs, band []int
-	for len(remaining) > 0 {
-		if len(ix.layers) == maxLayers-1 {
-			// Peel cap reached: everything left joins the tail layer.
-			band = append(band, remaining...)
-			remaining = remaining[:0]
-			break
-		}
-		layerIDs, next = layerIDs[:0], next[:0]
-		for _, id := range remaining {
-			p := ix.row(id)
-			pSum := sums[id]
-			dominated := false
-			// Members were appended in descending-sum order; a dominator q
-			// satisfies q >= p - Eps componentwise, hence
-			// sum(q) >= sum(p) - d*Eps, so the scan can stop early.
-			for _, j := range layerIDs {
-				if sums[j] < pSum-float64(d)*geom.Eps {
-					break
-				}
-				if ix.row(j).Dominates(p) {
-					dominated = true
-					break
-				}
-			}
-			if dominated {
-				next = append(next, id)
-			} else {
-				layerIDs = append(layerIDs, id)
-			}
-		}
-		// Bands: close the layer only once it is thick enough.
-		band = append(band, layerIDs...)
-		if len(band) >= layerBandRows {
-			ix.pushLayer(band)
-			band = band[:0]
-		}
-		remaining, next = next, remaining[:0]
-	}
-	if len(band) > 0 {
-		ix.pushLayer(band)
-	}
-}
-
-// pushLayer appends a layer holding the given product ids, reordered so
-// row blocks are spatially tight boxes, and computes the per-block
-// maxima.
-func (ix *Index) pushLayer(ids []int) {
-	d := ix.dim
-	ly := &indexLayer{
-		flat: make([]float64, len(ids)*d),
-		ids:  append([]int(nil), ids...),
-	}
-	// kd-order the members: a layer's rows share a dominance depth but
-	// fan across the whole attribute range, and a block of scattered rows
-	// would bound near the corner of the space and never prune. The
-	// recursive median partition groups each block's rows into a small
-	// box in every dimension, which is what keeps a block's componentwise
-	// maxima close to its best member — i.e. the threshold bound tight.
-	ix.kdOrder(ly.ids)
-	for i, id := range ly.ids {
-		copy(ly.flat[i*d:(i+1)*d], ix.row(id))
-	}
-	ly.computeBounds(d)
-	ix.layers = append(ix.layers, ly)
+// blockSpan returns the row range [lo, hi) of block b.
+func (ix *Index) blockSpan(b int) (lo, hi int) {
+	lo = b * blockRows
+	return lo, min(lo+blockRows, ix.Len())
 }
 
 // kdOrder permutes ids so that every aligned blockRows-sized run forms a
@@ -224,17 +114,16 @@ func (ix *Index) pushLayer(ids []int) {
 // and the ids split at the median, rounded to a block multiple so the
 // recursion cells and the fixed-stride blocks coincide. Determinism:
 // every sort tie-breaks on id, so the final order is a pure function of
-// the id set and the row data.
-func (ix *Index) kdOrder(ids []int) {
+// the id set and the product coordinates.
+func kdOrder(products []geom.Vector, ids []int) {
 	if len(ids) <= blockRows {
 		return
 	}
-	d := ix.dim
 	widest, spread := 0, -1.0
-	for j := 0; j < d; j++ {
-		lo, hi := ix.rowData[ids[0]*d+j], ix.rowData[ids[0]*d+j]
+	for j := range products[ids[0]] {
+		lo, hi := products[ids[0]][j], products[ids[0]][j]
 		for _, id := range ids[1:] {
-			v := ix.rowData[id*d+j]
+			v := products[id][j]
 			if v < lo {
 				lo = v
 			}
@@ -247,7 +136,7 @@ func (ix *Index) kdOrder(ids []int) {
 		}
 	}
 	sort.Slice(ids, func(a, b int) bool {
-		va, vb := ix.rowData[ids[a]*d+widest], ix.rowData[ids[b]*d+widest]
+		va, vb := products[ids[a]][widest], products[ids[b]][widest]
 		if va != vb {
 			return va < vb
 		}
@@ -264,29 +153,28 @@ func (ix *Index) kdOrder(ids []int) {
 	if mid == 0 {
 		mid = unit
 	}
-	ix.kdOrder(ids[:mid])
-	ix.kdOrder(ids[mid:])
+	kdOrder(products, ids[:mid])
+	kdOrder(products, ids[mid:])
 }
 
-// computeBounds builds the layer's per-block and per-superblock maxima
-// from its rows (a layer always holds at least one row).
-func (ly *indexLayer) computeBounds(d int) {
-	n, nb, ns := ly.rows(), ly.blocks(), ly.supers()
-	// One backing slab keeps the per-layer allocation count flat:
-	// blockFlat, then superFlat.
+// computeBounds builds the per-block and per-superblock maxima from the
+// packed rows.
+func (ix *Index) computeBounds() {
+	d, n, nb, ns := ix.dim, ix.Len(), ix.blocks(), ix.supers()
+	// One backing slab: blockFlat, then superFlat.
 	slab := make([]float64, (nb+ns)*d)
-	ly.blockFlat = slab[: nb*d : nb*d]
-	ly.superFlat = slab[nb*d:]
+	ix.blockFlat = slab[: nb*d : nb*d]
+	ix.superFlat = slab[nb*d:]
 	maxima := func(bounds []float64, granules, size int) {
 		for i := 0; i < granules; i++ {
 			lo, hi := i*size, min((i+1)*size, n)
 			m := bounds[i*d : (i+1)*d : (i+1)*d]
-			copy(m, ly.flat[lo*d:lo*d+d])
-			geom.RowMax(ly.flat[(lo+1)*d:hi*d], d, m)
+			copy(m, ix.flat[lo*d:lo*d+d])
+			geom.RowMax(ix.flat[(lo+1)*d:hi*d], d, m)
 		}
 	}
-	maxima(ly.blockFlat, nb, blockRows)
-	maxima(ly.superFlat, ns, superRows)
+	maxima(ix.blockFlat, nb, blockRows)
+	maxima(ix.superFlat, ns, superRows)
 }
 
 // SearchStats aggregates the search-effort counters of indexed top-k
@@ -295,8 +183,9 @@ func (ly *indexLayer) computeBounds(d int) {
 type SearchStats struct {
 	// ScannedProducts counts product rows actually scored.
 	ScannedProducts int64
-	// LayerPrunes counts index blocks (the layers' bound granules)
-	// skipped whole by the threshold bound.
+	// LayerPrunes counts index blocks skipped whole by the threshold
+	// bound. The name predates the single-matrix index; perfbench and
+	// the engine's Stats read it under this name.
 	LayerPrunes int64
 }
 
@@ -311,20 +200,16 @@ func (s *SearchStats) Add(o SearchStats) {
 // index when super is true, the block index otherwise.
 type granuleRef struct {
 	bound float64
-	layer int32
 	idx   int32
 	super bool
 }
 
 // granuleBefore orders the per-query bound queue: higher bound first,
-// then (layer, kind, idx) ascending — a total order, so the scan
-// sequence (and with it every stats counter) is deterministic.
+// then (kind, idx) ascending — a total order, so the scan sequence (and
+// with it every stats counter) is deterministic.
 func granuleBefore(a, b granuleRef) bool {
 	if a.bound != b.bound {
 		return a.bound > b.bound
-	}
-	if a.layer != b.layer {
-		return a.layer < b.layer
 	}
 	if a.super != b.super {
 		return b.super
@@ -345,22 +230,16 @@ type Searcher struct {
 	queue  []granuleRef
 	scores [blockRows]float64
 	// bound-scoring scratch for the batched granule dots: one slot per
-	// superblock of the largest layer (grown on demand), and a fixed
-	// block-bound buffer for one superblock's expansion.
+	// superblock, and a fixed block-bound buffer for one superblock's
+	// expansion.
 	sBounds []float64
 	bBounds [superRows / blockRows]float64
 }
 
-// growBounds returns the superblock-bound scratch resized to n.
-func (s *Searcher) growBounds(n int) []float64 {
-	if cap(s.sBounds) < n {
-		s.sBounds = make([]float64, n)
-	}
-	return s.sBounds[:n]
-}
-
 // NewSearcher returns a Searcher over ix.
-func NewSearcher(ix *Index) *Searcher { return &Searcher{ix: ix} }
+func NewSearcher(ix *Index) *Searcher {
+	return &Searcher{ix: ix, sBounds: make([]float64, ix.supers())}
+}
 
 // heapWorse reports whether candidate a ranks strictly below candidate b
 // under the engine ranking (score descending, id ascending) — the heap
@@ -398,8 +277,8 @@ func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 	if k < 1 {
 		panic(fmt.Sprintf("topk: user k=%d < 1", k))
 	}
-	if k > ix.n {
-		panic(fmt.Sprintf("topk: k=%d exceeds |P|=%d", k, ix.n))
+	if k > ix.Len() {
+		panic(fmt.Sprintf("topk: k=%d exceeds |P|=%d", k, ix.Len()))
 	}
 
 	if cap(s.hScore) < k {
@@ -414,22 +293,13 @@ func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 	// a block scans it. The heap root rises as fast as possible, and the
 	// first queued bound strictly below it proves everything unexpanded
 	// worse — superblock maxima dominate their blocks' maxima, so a
-	// pruned superblock soundly prunes every block under it.
+	// pruned superblock soundly prunes every block under it. One batched
+	// dot scores the contiguous superblock maxima, bit-identical to w.Dot
+	// per row.
+	geom.DotRows(ix.superFlat, ix.dim, w, s.sBounds)
 	s.queue = s.queue[:0]
-	for l, ly := range ix.layers {
-		ns := ly.supers()
-		// One batched dot over the layer's contiguous superblock maxima:
-		// bit-identical to w.Dot per row, dispatched once per matrix.
-		bounds := s.growBounds(ns)
-		geom.DotRows(ly.superFlat, ix.dim, w, bounds)
-		for sb, bd := range bounds {
-			s.queue = append(s.queue, granuleRef{
-				bound: bd,
-				layer: int32(l),
-				idx:   int32(sb),
-				super: true,
-			})
-		}
+	for sb, bd := range s.sBounds {
+		s.queue = append(s.queue, granuleRef{bound: bd, idx: int32(sb), super: true})
 	}
 	for i := len(s.queue)/2 - 1; i >= 0; i-- {
 		granuleSiftDown(s.queue, i)
@@ -444,21 +314,15 @@ func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 		s.queue[0] = s.queue[n]
 		s.queue = s.queue[:n]
 		granuleSiftDown(s.queue, 0)
-		ly := ix.layers[best.layer]
 		if !best.super {
-			full = s.scanBlock(ly, int(best.idx), w, k, full)
+			full = s.scanBlock(int(best.idx), w, k, full)
 			continue
 		}
-		lo := int(best.idx) * (superRows / blockRows)
-		hi := min(lo+superRows/blockRows, ly.blocks())
+		lo, hi := ix.superSpan(int(best.idx))
 		bb := s.bBounds[:hi-lo]
-		geom.DotRows(ly.blockFlat[lo*ix.dim:hi*ix.dim], ix.dim, w, bb)
+		geom.DotRows(ix.blockFlat[lo*ix.dim:hi*ix.dim], ix.dim, w, bb)
 		for i, bd := range bb {
-			s.queuePush(granuleRef{
-				bound: bd,
-				layer: best.layer,
-				idx:   int32(lo + i),
-			})
+			s.queuePush(granuleRef{bound: bd, idx: int32(lo + i)})
 		}
 	}
 	return KthResult{Index: s.hID[0], Score: s.hScore[0]}
@@ -473,8 +337,7 @@ func (s *Searcher) prunedBlocks() int64 {
 			n++
 			continue
 		}
-		lo := int(g.idx) * (superRows / blockRows)
-		hi := min(lo+superRows/blockRows, s.ix.layers[g.layer].blocks())
+		lo, hi := s.ix.superSpan(int(g.idx))
 		n += int64(hi - lo)
 	}
 	return n
@@ -495,20 +358,17 @@ func (s *Searcher) queuePush(g granuleRef) {
 	}
 }
 
-// scanBlock scores block b of layer ly into the k-heap; it returns
-// whether the heap is full afterwards.
-func (s *Searcher) scanBlock(ly *indexLayer, b int, w geom.Vector, k int, full bool) bool {
-	d := s.ix.dim
-	lo, hi := b*blockRows, (b+1)*blockRows
-	if n := ly.rows(); hi > n {
-		hi = n
-	}
-	rows := hi - lo
-	out := s.scores[:rows]
-	geom.DotRows(ly.flat[lo*d:hi*d], d, w, out)
-	s.Stats.ScannedProducts += int64(rows)
+// scanBlock scores block b into the k-heap; it returns whether the heap
+// is full afterwards.
+func (s *Searcher) scanBlock(b int, w geom.Vector, k int, full bool) bool {
+	ix := s.ix
+	d := ix.dim
+	lo, hi := ix.blockSpan(b)
+	out := s.scores[:hi-lo]
+	geom.DotRows(ix.flat[lo*d:hi*d], d, w, out)
+	s.Stats.ScannedProducts += int64(hi - lo)
 	for i, sc := range out {
-		id := ly.ids[lo+i]
+		id := ix.ids[lo+i]
 		if !full {
 			s.heapPush(sc, id)
 			full = len(s.hID) == k
@@ -526,47 +386,39 @@ func (s *Searcher) scanBlock(ly *indexLayer, b int, w geom.Vector, k int, full b
 // skipped when their componentwise-maxima bound falls below t; bounds and
 // scores use the same dot kernel and maxima only round monotonically, so
 // no product with score >= t is ever pruned and the result is exactly the
-// predicate set, byte-identical to a full scan. Output order is
-// layer/row order, not sorted. Skipped blocks count into
-// Stats.LayerPrunes, scored rows into Stats.ScannedProducts. It panics
-// if w has a negative component.
+// predicate set, byte-identical to a full scan. Output order is index
+// row order, not sorted. Skipped blocks count into Stats.LayerPrunes,
+// scored rows into Stats.ScannedProducts. It panics if w has a negative
+// component.
 func (s *Searcher) AtLeast(w geom.Vector, t float64, dst []int) []int {
 	ix := s.ix
 	ix.checkWeights(w)
 	d := ix.dim
-	for _, ly := range ix.layers {
-		nb, ns := ly.blocks(), ly.supers()
-		// Batched superblock bounds for the whole layer, then batched
-		// block bounds per surviving superblock: the same bound values
-		// (and hence the same prune/scan decisions and counters) as the
-		// per-granule dots, one matrix dispatch per batch.
-		sBounds := s.growBounds(ns)
-		geom.DotRows(ly.superFlat, d, w, sBounds)
-		for sb := 0; sb < ns; sb++ {
-			lo := sb * (superRows / blockRows)
-			hi := min(lo+superRows/blockRows, nb)
-			if sBounds[sb] < t {
-				s.Stats.LayerPrunes += int64(hi - lo)
+	// Batched superblock bounds, then batched block bounds per surviving
+	// superblock: the same bound values (and hence the same prune/scan
+	// decisions and counters) as the per-granule dots, one matrix
+	// dispatch per batch.
+	geom.DotRows(ix.superFlat, d, w, s.sBounds)
+	for sb, sbd := range s.sBounds {
+		lo, hi := ix.superSpan(sb)
+		if sbd < t {
+			s.Stats.LayerPrunes += int64(hi - lo)
+			continue
+		}
+		bBounds := s.bBounds[:hi-lo]
+		geom.DotRows(ix.blockFlat[lo*d:hi*d], d, w, bBounds)
+		for b := lo; b < hi; b++ {
+			if bBounds[b-lo] < t {
+				s.Stats.LayerPrunes++
 				continue
 			}
-			bBounds := s.bBounds[:hi-lo]
-			geom.DotRows(ly.blockFlat[lo*d:hi*d], d, w, bBounds)
-			for b := lo; b < hi; b++ {
-				if bBounds[b-lo] < t {
-					s.Stats.LayerPrunes++
-					continue
-				}
-				rlo, rhi := b*blockRows, (b+1)*blockRows
-				if n := ly.rows(); rhi > n {
-					rhi = n
-				}
-				out := s.scores[:rhi-rlo]
-				geom.DotRows(ly.flat[rlo*d:rhi*d], d, w, out)
-				s.Stats.ScannedProducts += int64(rhi - rlo)
-				for i, sc := range out {
-					if sc >= t {
-						dst = append(dst, ly.ids[rlo+i])
-					}
+			rlo, rhi := ix.blockSpan(b)
+			out := s.scores[:rhi-rlo]
+			geom.DotRows(ix.flat[rlo*d:rhi*d], d, w, out)
+			s.Stats.ScannedProducts += int64(rhi - rlo)
+			for i, sc := range out {
+				if sc >= t {
+					dst = append(dst, ix.ids[rlo+i])
 				}
 			}
 		}
@@ -648,8 +500,8 @@ func (ix *Index) AllTopKWorkers(users []UserPref, workers int) ([]KthResult, Sea
 			panic(fmt.Sprintf("topk: user k=%d < 1", u.K))
 		}
 	}
-	if kmax > ix.n {
-		panic(fmt.Sprintf("topk: max k=%d exceeds |P|=%d", kmax, ix.n))
+	if kmax > ix.Len() {
+		panic(fmt.Sprintf("topk: max k=%d exceeds |P|=%d", kmax, ix.Len()))
 	}
 	out := make([]KthResult, len(users))
 	nw := par.Resolve(workers)

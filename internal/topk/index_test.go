@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"mir/internal/geom"
@@ -39,22 +41,17 @@ func gridWeight(rng *rand.Rand, d int) geom.Vector {
 // TestSearcherKthMatchesFullScan is the core byte-identity property: the
 // indexed search must return the exact result of the naive full product
 // scan — identity and score bits — across dimensionalities, every k, and
-// sizes spanning one block to many layers. Below layerBandRows an index
-// is a single layer; the larger sizes build several bands, and at
-// n=5000 and d <= 3 the peel reaches maxLayers, so its last layer is the
-// capped tail.
+// sizes spanning one block to many superblocks.
 func TestSearcherKthMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	check := func(ps []geom.Vector, d int) *Index {
+	check := func(ps []geom.Vector, d int) {
 		t.Helper()
-		ix := NewIndex(ps)
-		s := NewSearcher(ix)
+		s := NewSearcher(NewIndex(ps))
 		for q := 0; q < 20; q++ {
 			w := randomWeight(rng, d)
 			k := 1 + rng.Intn(len(ps))
 			sameKth(t, fmt.Sprintf("n=%d d=%d", len(ps), d), s.Kth(w, k), KthScore(ps, w, k))
 		}
-		return ix
 	}
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(400)
@@ -63,19 +60,7 @@ func TestSearcherKthMatchesFullScan(t *testing.T) {
 	}
 	for _, n := range []int{1500, 5000} {
 		for d := 2; d <= 5; d++ {
-			ix := check(randomProducts(rng, n, d), d)
-			want := 3
-			switch {
-			case n == 5000 && d <= 3:
-				want = maxLayers
-			case n == 5000:
-				want = 7
-			}
-			got := len(ix.layers)
-			t.Logf("n=%d d=%d: %d layers", n, d, got)
-			if got < want {
-				t.Errorf("n=%d d=%d: %d layers, want at least %d", n, d, got, want)
-			}
+			check(randomProducts(rng, n, d), d)
 		}
 	}
 }
@@ -176,47 +161,72 @@ func TestSearcherKthZeroAndNegativeWeights(t *testing.T) {
 	}
 }
 
-// TestIndexLayerPartition checks structural invariants of the build:
-// layers partition the products, the first layer contains the whole
-// skyline, and every row outside it has a dominator in an earlier-or-
-// same layer (the banded peel keeps dominators at lower or equal depth).
-func TestIndexLayerPartition(t *testing.T) {
+// FuzzIndexSearch differentially fuzzes the index against the full
+// scans: for a seeded product set of up to 2000 rows at d in 1..6 or 8,
+// optionally snapped to multiples of 1/grid (ties and exact duplicates),
+// and non-negative weights with some zero components, Searcher.Kth must
+// equal KthScore in identity and score bits, and AtLeast must return the
+// full scan's predicate set at the k-th score and at a random product's
+// score.
+func FuzzIndexSearch(f *testing.F) {
+	f.Add(int64(1), uint16(4), uint8(2), uint8(0))
+	f.Add(int64(2), uint16(1999), uint8(3), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, dRaw uint8, gridRaw uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(nRaw)%2000
+		d := []int{1, 2, 3, 4, 5, 6, 8}[int(dRaw)%7]
+		grid := float64(gridRaw % 9) // 0: continuous coordinates
+		ps := randomProducts(rng, n, d)
+		if grid > 0 {
+			for _, p := range ps {
+				for j := range p {
+					p[j] = math.Round(p[j]*grid) / grid
+				}
+			}
+		}
+		s := NewSearcher(NewIndex(ps))
+		for q := 0; q < 4; q++ {
+			w := make(geom.Vector, d)
+			for j := range w {
+				if rng.Intn(4) > 0 {
+					w[j] = rng.Float64()
+				}
+			}
+			k := 1 + rng.Intn(n)
+			ctx := fmt.Sprintf("n=%d d=%d grid=%v w=%v k=%d", n, d, grid, []float64(w), k)
+			want := KthScore(ps, w, k)
+			sameKth(t, ctx, s.Kth(w, k), want)
+			for _, th := range []float64{want.Score, w.Dot(ps[rng.Intn(n)])} {
+				got := s.AtLeast(w, th, nil)
+				sort.Ints(got)
+				if ref := naiveAtLeast(ps, w, th); !slices.Equal(got, ref) {
+					t.Fatalf("%s t=%v: AtLeast %v, full scan %v", ctx, th, got, ref)
+				}
+			}
+		}
+	})
+}
+
+// TestIndexPartition checks the structural invariant of the build: the
+// packed rows are a permutation of the products, and each row is a copy
+// of its product's attributes.
+func TestIndexPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	ps := randomProducts(rng, 5000, 3)
 	ix := NewIndex(ps)
+	if len(ix.ids) != len(ps) || len(ix.flat) != len(ps)*ix.dim {
+		t.Fatalf("%d rows (%d values) for %d products", len(ix.ids), len(ix.flat), len(ps))
+	}
 	seen := make([]bool, len(ps))
-	layerOf := make([]int, len(ps))
-	for l, ly := range ix.layers {
-		for _, id := range ly.ids {
-			if seen[id] {
-				t.Fatalf("product %d appears in two layers", id)
+	for r, id := range ix.ids {
+		if seen[id] {
+			t.Fatalf("product %d packed twice", id)
+		}
+		seen[id] = true
+		for j, v := range ix.flat[r*ix.dim : (r+1)*ix.dim] {
+			if math.Float64bits(v) != math.Float64bits(ps[id][j]) {
+				t.Fatalf("row %d (product %d) attribute %d is %v, want %v", r, id, j, v, ps[id][j])
 			}
-			seen[id] = true
-			layerOf[id] = l
-		}
-	}
-	for id, ok := range seen {
-		if !ok {
-			t.Fatalf("product %d missing from every layer", id)
-		}
-	}
-	for _, i := range Skyline(ps) {
-		if layerOf[i] != 0 {
-			t.Fatalf("skyline product %d landed in layer %d", i, layerOf[i])
-		}
-	}
-	for id := range ps {
-		if layerOf[id] == 0 {
-			continue
-		}
-		best := -1
-		for j := range ps {
-			if j != id && ps[j].Dominates(ps[id]) && (best < 0 || layerOf[j] < best) {
-				best = layerOf[j]
-			}
-		}
-		if best < 0 || best > layerOf[id] {
-			t.Fatalf("product %d in layer %d: closest dominator layer %d", id, layerOf[id], best)
 		}
 	}
 }

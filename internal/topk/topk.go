@@ -3,10 +3,12 @@
 // a batched all-top-k computation that yields every user's top-k-th product
 // (the entry threshold that defines the user's influential halfspace).
 //
-// The paper uses the all-top-k algorithm of Ge et al. [26] for this step;
-// we implement the standard skyband-pruned formulation: the top-k product
-// of any linear preference lies in the k-skyband, so per-user selection
-// only scans skyband members.
+// The paper uses the all-top-k algorithm of Ge et al. [26] for this step.
+// The engine answers it from Index (index.go), a kd-ordered block index
+// with a threshold search; AllTopK here is the standard skyband-pruned
+// formulation (the top-k product of any linear preference lies in the
+// k-skyband, so per-user selection only scans skyband members), kept as
+// the reference the index is tested against.
 package topk
 
 import (

@@ -49,8 +49,9 @@ import (
 
 // User is a member of the population: a preference weight per product
 // attribute and the size k of the top-k result the user considers.
-// Weights must be finite and non-negative (NewAnalyzer, NewMonitor and
-// UserArrived reject others) and are expected to sum to 1.
+// Weights must be finite and non-negative and must not all be zero
+// (NewAnalyzer, NewMonitor and UserArrived reject others); they are
+// expected to sum to 1.
 type User struct {
 	Weights []float64
 	K       int
@@ -125,9 +126,12 @@ type Analyzer struct {
 }
 
 // NewAnalyzer validates the inputs and runs the all-top-k preprocessing.
-// Products are rows of attribute values in [0,1]; users supply simplex
-// weights of the same dimensionality and k between 1 and len(products).
-// A NaN or ±Inf attribute or weight, or a negative weight, is an error.
+// Products are rows of attribute values, normally in [0,1]; users supply
+// simplex weights of the same dimensionality and k between 1 and
+// len(products). A NaN or ±Inf attribute or weight, a negative weight,
+// or a user whose weights are all zero is an error. Products outside
+// [0,1]^d are accepted and set the users' thresholds like any other, but
+// impact regions are computed over [0,1]^d.
 //
 // The inputs are deep-copied: callers may mutate or reuse their slices
 // after NewAnalyzer returns without corrupting the Analyzer.

@@ -109,11 +109,12 @@ type Stats struct {
 	// and solves (each starts from the slack basis).
 	Pivots     int64
 	ColdSolves int64
-	// ScannedProducts and LayerPrunes profile the layered all-top-k
-	// index behind the preprocessing and the Monitor's arrival path:
-	// product rows actually scored, and index blocks (the layers' bound
-	// granules) skipped whole by the threshold bound. Like the counters
-	// above, both are deterministic for every worker count.
+	// ScannedProducts and LayerPrunes profile the all-top-k index behind
+	// the preprocessing and the Monitor's arrival path: product rows
+	// actually scored, and index blocks skipped whole by the threshold
+	// bound (LayerPrunes keeps its name from an earlier, layered index).
+	// Like the counters above, both are deterministic for every worker
+	// count.
 	ScannedProducts int64
 	LayerPrunes     int64
 	// RoutedLeaves, SkippedSubtrees, and TouchedFrontier profile the

@@ -36,7 +36,7 @@ type Influence struct {
 // sets (ties broken toward the smaller index) — the "most influential
 // data objects" query of the reverse top-k literature, answered here from
 // the mIR preprocessing: the counting runs user-major through the
-// instance's layered top-k index (core.MostInfluential), and the counts
+// instance's top-k index (core.MostInfluential), and the counts
 // are byte-identical to a full |P|·|U| coverage scan.
 func (a *Analyzer) MostInfluential(n int) []Influence {
 	top := core.MostInfluential(a.inst.TopKIndex, a.inst.Products, a.inst.HS, n)
